@@ -5,17 +5,22 @@
 // Extra modes (see main):
 //   --selftest        correctness + speed gate for the dispatched GEMM,
 //                     suitable as a ctest entry (exit code 1 on failure).
-//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison written as
-//                     BENCH_kernels.json (see README "Performance").
+//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison, plus the
+//                     attention pieces (head-split transpose, masked
+//                     softmax, one attention forward) at the served
+//                     cleaner's batch shape, written as BENCH_kernels.json
+//                     (see README "Performance").
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/attention.h"
@@ -320,6 +325,101 @@ int RunSelftest() {
   return ok ? 0 : 1;
 }
 
+// Scalar-vs-dispatched timing of one tensor-level op at a model shape.
+struct OpComparison {
+  double scalar_ms = 0.0;
+  double simd_ms = 0.0;
+  float max_abs_diff = 0.0f;
+};
+
+// Best-of-`reps` wall time of run(setup()) in ms; setup (e.g. copying an
+// input the op consumes in place) is outside the timed region. Returns the
+// last output in *out.
+template <typename Setup, typename Run>
+double BestMs(Setup&& setup, Run&& run, int reps, Tensor* out) {
+  double best_seconds = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    auto input = setup();
+    const auto start = std::chrono::steady_clock::now();
+    *out = run(std::move(input));
+    const auto stop = std::chrono::steady_clock::now();
+    best_seconds = std::min(
+        best_seconds, std::chrono::duration<double>(stop - start).count());
+  }
+  return best_seconds * 1e3;
+}
+
+template <typename Setup, typename Run>
+OpComparison CompareOp(Setup&& setup, Run&& run, int reps) {
+  const TensorBackend dispatched = ActiveTensorBackend();
+  NoGradGuard no_grad;
+  OpComparison result;
+  Tensor scalar_out, simd_out;
+  {
+    ScopedTensorBackendOverride pin(TensorBackend::kScalar);
+    result.scalar_ms = BestMs(setup, run, reps, &scalar_out);
+  }
+  {
+    ScopedTensorBackendOverride pin(dispatched);
+    result.simd_ms = BestMs(setup, run, reps, &simd_out);
+  }
+  for (int64_t i = 0; i < scalar_out.numel(); ++i) {
+    result.max_abs_diff = std::max(
+        result.max_abs_diff, std::fabs(simd_out.at(i) - scalar_out.at(i)));
+  }
+  return result;
+}
+
+// The attention pieces at the served cleaner's formed batch: 32 rows of 26
+// tokens, d_model 64, 4 heads of 16.
+std::vector<std::pair<std::string, OpComparison>> CompareAttentionOps() {
+  constexpr int64_t kBatch = 32, kLen = 26, kHeads = 4, kDim = 64;
+  constexpr int kReps = 50;
+  Rng rng(9100);
+  std::vector<uint8_t> valid(static_cast<size_t>(kBatch * kLen), 1);
+  for (int64_t b = 0; b < kBatch; ++b) {
+    for (int64_t t = kLen - b % 10; t < kLen; ++t) {
+      valid[static_cast<size_t>(b * kLen + t)] = 0;
+    }
+  }
+  Tensor bias =
+      BuildAttentionBias(kBatch, kHeads, kLen, kLen, valid, /*causal=*/false);
+  std::vector<std::pair<std::string, OpComparison>> rows;
+
+  // Head split: [B, T, H, Dh] -> [B, H, T, Dh].
+  Tensor heads = Tensor::Randn({kBatch, kLen, kHeads, kDim / kHeads}, 1.0f,
+                               &rng);
+  rows.emplace_back(
+      "transpose_head_split",
+      CompareOp([&] { return heads; },
+                [](Tensor x) { return Transpose(x, 1, 2); }, kReps));
+
+  // Scale + padding bias + softmax over [B*H*T, T] score rows, in place as
+  // attention runs it.
+  Tensor scores = Tensor::Randn({kBatch * kHeads * kLen, kLen}, 2.0f, &rng);
+  Tensor flat_bias = Reshape(bias, {kBatch * kHeads * kLen, kLen});
+  rows.emplace_back(
+      "masked_softmax",
+      CompareOp([&] { return scores.Detach(); },
+                [&](Tensor x) {
+                  return MaskedSoftmax(std::move(x), flat_bias, 0.25f);
+                },
+                kReps));
+
+  // One encoder self-attention forward with padded keys.
+  MultiHeadAttention mha(kDim, kHeads, 0.0f, &rng);
+  mha.SetTraining(false);
+  Tensor x = Tensor::Randn({kBatch, kLen, kDim}, 1.0f, &rng);
+  rows.emplace_back(
+      "attention_forward",
+      CompareOp([&] { return x; },
+                [&](const Tensor& in) {
+                  return mha.Forward(in, in, in, bias, &rng);
+                },
+                kReps));
+  return rows;
+}
+
 int WriteJsonReport(const std::string& path) {
   const TensorBackend backend = ActiveTensorBackend();
   std::vector<GemmComparison> rows;
@@ -349,7 +449,21 @@ int WriteJsonReport(const std::string& path) {
     out << buf;
     std::printf("%s", buf);
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"attention_ops\": {\n";
+  const auto ops = CompareAttentionOps();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const auto& [name, r] = ops[i];
+    char buf[320];
+    std::snprintf(buf, sizeof(buf),
+                  "    \"%s\": {\"scalar_ms\": %.4f, \"simd_ms\": %.4f, "
+                  "\"max_abs_diff\": %.6g}%s\n",
+                  name.c_str(), r.scalar_ms, r.simd_ms,
+                  static_cast<double>(r.max_abs_diff),
+                  i + 1 < ops.size() ? "," : "");
+    out << buf;
+    std::printf("%s", buf);
+  }
+  out << "  }\n}\n";
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

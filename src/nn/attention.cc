@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -90,10 +91,11 @@ MultiHeadAttention::MultiHeadAttention(int64_t d_model, int64_t num_heads,
   RegisterModule("attn_dropout", &attn_dropout_);
 }
 
-Tensor MultiHeadAttention::SplitHeads(const Tensor& x, int64_t batch,
+Tensor MultiHeadAttention::SplitHeads(Tensor x, int64_t batch,
                                       int64_t t) const {
-  Tensor reshaped = Reshape(x, {batch, t, num_heads_, head_dim_});
-  return Transpose(reshaped, 1, 2);
+  // [B, T, H, Dh] -> [B, H, T, Dh]: the transpose moves Dh-float runs.
+  return Transpose(Reshape(std::move(x), {batch, t, num_heads_, head_dim_}),
+                   1, 2);
 }
 
 void MultiHeadAttention::AppendKV(const Tensor& key, const Tensor& value,
@@ -138,21 +140,17 @@ Tensor MultiHeadAttention::Forward(const Tensor& query, const Tensor& key,
     v = SplitHeads(v_proj_.Forward(value), batch, key.dim(1));
   }
 
-  // Scores: [B, H, Tq, Dh] x [B, H, Dh, Tk] -> [B, H, Tq, Tk].
-  Tensor kt = Transpose(k, 2, 3);
-  Tensor scores =
-      Scale(MatMul(q, kt), 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  if (bias.defined()) {
-    scores = Add(scores, bias);
-  }
-  Tensor attn = Softmax(scores);
+  // Scores: [B, H, Tq, Dh] x [B, H, Tk, Dh]^T -> [B, H, Tq, Tk]. Split-head
+  // K is already the B^T layout GemmNT reads, so it is never transposed.
+  // The scale, bias and softmax then run as one pass per score row.
+  Tensor attn = MaskedSoftmax(MatMulNT(q, k), bias,
+                              1.0f / std::sqrt(static_cast<float>(head_dim_)));
   attn = attn_dropout_.Forward(attn, rng);
 
-  // Context: [B, H, Tq, Tk] x [B, H, Tk, Dh] -> [B, H, Tq, Dh].
-  Tensor context = MatMul(attn, v);
-  // Merge heads: [B, H, Tq, Dh] -> [B, Tq, D].
-  context = Transpose(context, 1, 2);
-  context = Reshape(context, {batch, q_len, d_model_});
+  // Context: [B, H, Tq, Tk] x [B, H, Tk, Dh] -> [B, H, Tq, Dh], then merge
+  // heads: [B, H, Tq, Dh] -> [B, Tq, H, Dh] -> [B, Tq, D].
+  Tensor context =
+      Reshape(Transpose(MatMul(attn, v), 1, 2), {batch, q_len, d_model_});
   return out_proj_.Forward(context);
 }
 

@@ -81,8 +81,9 @@ class MultiHeadAttention : public Module {
   int64_t num_heads() const { return num_heads_; }
 
  private:
-  /// [B, T, D] -> [B, H, T, Dh].
-  Tensor SplitHeads(const Tensor& x, int64_t batch, int64_t t) const;
+  /// [B, T, D] -> [B, H, T, Dh]. Takes `x` by value so a projection
+  /// temporary is reshaped in place instead of copied.
+  Tensor SplitHeads(Tensor x, int64_t batch, int64_t t) const;
 
   int64_t d_model_;
   int64_t num_heads_;

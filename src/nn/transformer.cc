@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "profile/perf_hooks.h"
 #include "util/logging.h"
@@ -204,7 +205,7 @@ Tensor InputEmbedding::Forward(const TokenBatch& batch, Rng* rng,
   if (type_ != nullptr && !batch.type_ids.empty()) {
     x = Add(x, type_->Forward(batch.type_ids));
   }
-  x = Reshape(x, {batch.batch, batch.len, config_.d_model});
+  x = Reshape(std::move(x), {batch.batch, batch.len, config_.d_model});
   return dropout_.Forward(x, rng);
 }
 

@@ -229,6 +229,14 @@ constexpr MicroFnPacked kMicro8Packed[7] = {
     MicroNx8Packed<3>, MicroNx8Packed<4>, MicroNx8Packed<5>,
     MicroNx8Packed<6>};
 
+// The calling thread's B-panel buffer, grown to at least `floats` and kept
+// for the thread's lifetime, so steady-state GEMM calls never allocate.
+float* PanelBuffer(size_t floats) {
+  thread_local std::vector<float> buffer;
+  if (buffer.size() < floats) buffer.resize(floats);
+  return buffer.data();
+}
+
 }  // namespace
 
 void GemmNNAvx2(const float* a, const float* b, float* c, int64_t m,
@@ -243,21 +251,20 @@ void GemmNNAvx2(const float* a, const float* b, float* c, int64_t m,
   // only relocates values — the multiply-add order is unchanged, so results
   // are bitwise identical to the unpacked path.
   const bool pack = m > 8;
-  std::vector<float> packed;
-  if (pack && n16 > 0) packed.resize(static_cast<size_t>(k) * 16);
+  float* packed = pack ? PanelBuffer(static_cast<size_t>(k) * 16) : nullptr;
   for (int64_t jb = 0; jb < n16; jb += 16) {
     int64_t i = 0;
     if (pack) {
       for (int64_t p = 0; p < k; ++p) {
-        std::memcpy(packed.data() + p * 16, b + p * n + jb,
+        std::memcpy(packed + p * 16, b + p * n + jb,
                     16 * sizeof(float));
       }
       for (; i + 6 <= m; i += 6) {
-        MicroNx16Packed<6>(a + i * k, k, packed.data(), c + i * n + jb, n, k);
+        MicroNx16Packed<6>(a + i * k, k, packed, c + i * n + jb, n, k);
       }
       const int rem = static_cast<int>(m - i);
       if (rem > 0) {
-        kMicro16Packed[rem](a + i * k, k, packed.data(), c + i * n + jb, n,
+        kMicro16Packed[rem](a + i * k, k, packed, c + i * n + jb, n,
                             k);
       }
     } else {
@@ -273,18 +280,17 @@ void GemmNNAvx2(const float* a, const float* b, float* c, int64_t m,
   if (n8 > n16) {
     int64_t i = 0;
     if (pack) {
-      packed.resize(static_cast<size_t>(k) * 8);
       for (int64_t p = 0; p < k; ++p) {
-        std::memcpy(packed.data() + p * 8, b + p * n + n16,
+        std::memcpy(packed + p * 8, b + p * n + n16,
                     8 * sizeof(float));
       }
       for (; i + 6 <= m; i += 6) {
-        MicroNx8Packed<6>(a + i * k, k, packed.data(), c + i * n + n16, n,
+        MicroNx8Packed<6>(a + i * k, k, packed, c + i * n + n16, n,
                           k);
       }
       const int rem = static_cast<int>(m - i);
       if (rem > 0) {
-        kMicro8Packed[rem](a + i * k, k, packed.data(), c + i * n + n16, n,
+        kMicro8Packed[rem](a + i * k, k, packed, c + i * n + n16, n,
                            k);
       }
     } else {

@@ -22,7 +22,7 @@ struct TensorImpl {
   // must not be written through.
   float* data = nullptr;
   size_t size = 0;
-  std::vector<float> owned;
+  std::unique_ptr<float[]> owned;
   std::shared_ptr<const void> storage;
   std::vector<float> grad;  // empty until first accumulation
   bool requires_grad = false;
@@ -37,18 +37,13 @@ struct TensorImpl {
 
   bool is_view() const { return storage != nullptr; }
 
-  void ResetOwned(size_t n, float value) {
+  // Allocates `n` owned elements, zero-filled only when `zero` (an op that
+  // writes every output element skips the fill).
+  void AllocOwned(size_t n, bool zero) {
     storage.reset();
-    owned.assign(n, value);
-    data = owned.data();
+    owned.reset(zero ? new float[n]() : new float[n]);
+    data = owned.get();
     size = n;
-  }
-
-  void AdoptOwned(std::vector<float> values) {
-    storage.reset();
-    owned = std::move(values);
-    data = owned.data();
-    size = owned.size();
   }
 
   void EnsureGrad() {
@@ -73,34 +68,47 @@ int64_t ShapeNumel(const std::vector<int64_t>& shape) {
   return n;
 }
 
-std::shared_ptr<TensorImpl> NewImpl(std::vector<int64_t> shape) {
+// Whether an op's output buffer starts zeroed. Only accumulating kernels
+// (the GEMMs, which compute C += A * B) need kZeroed; an op that writes
+// every output element asks for kUninit and skips the fill.
+enum class Init { kZeroed, kUninit };
+
+std::shared_ptr<TensorImpl> NewImpl(std::vector<int64_t> shape, Init init) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->ResetOwned(static_cast<size_t>(ShapeNumel(impl->shape)), 0.0f);
+  impl->AllocOwned(static_cast<size_t>(ShapeNumel(impl->shape)),
+                   init == Init::kZeroed);
   return impl;
+}
+
+bool AnyRequiresGrad(const std::vector<std::shared_ptr<TensorImpl>>& parents) {
+  if (!g_autograd_enabled) return false;
+  for (const auto& p : parents) {
+    if (p->requires_grad) return true;
+  }
+  return false;
+}
+
+// True when an op taking `t` must record a backward edge to it.
+bool Tracks(const Tensor& t) {
+  return g_autograd_enabled && t.impl()->requires_grad;
+}
+
+// True when an untracked op may reuse `t`'s buffer for its result: the
+// caller handed over the only handle (by value, moved or temporary) and the
+// storage is owned, so no other handle can observe the write.
+bool CanReuseInPlace(const Tensor& t) {
+  return t.impl().use_count() == 1 && !t.impl()->is_view();
 }
 
 // Builds the output impl of an op and decides whether to track gradients.
 // `backward` is only attached when tracking. Parents that do not require
 // grad are still recorded so the backward closure can read their data.
-Tensor MakeOpResult(
-    std::vector<int64_t> shape,
-    std::vector<std::shared_ptr<TensorImpl>> parents,
-    const std::function<void(TensorImpl&)>& make_backward_unused = nullptr) {
-  (void)make_backward_unused;
-  auto impl = NewImpl(std::move(shape));
-  bool track = g_autograd_enabled;
-  if (track) {
-    bool any = false;
-    for (const auto& p : parents) {
-      if (p->requires_grad) {
-        any = true;
-        break;
-      }
-    }
-    track = any;
-  }
-  if (track) {
+Tensor MakeOpResult(std::vector<int64_t> shape,
+                    std::vector<std::shared_ptr<TensorImpl>> parents,
+                    Init init) {
+  auto impl = NewImpl(std::move(shape), init);
+  if (AnyRequiresGrad(parents)) {
     impl->requires_grad = true;
     impl->parents = std::move(parents);
   }
@@ -142,11 +150,11 @@ bool AutogradEnabled() { return g_autograd_enabled; }
 // ---- Tensor methods --------------------------------------------------------
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape) {
-  return Tensor(NewImpl(std::move(shape)));
+  return Tensor(NewImpl(std::move(shape), Init::kZeroed));
 }
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
-  auto impl = NewImpl(std::move(shape));
+  auto impl = NewImpl(std::move(shape), Init::kUninit);
   std::fill(impl->data, impl->data + impl->size, value);
   return Tensor(impl);
 }
@@ -154,14 +162,13 @@ Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
 Tensor Tensor::FromVector(std::vector<float> values,
                           std::vector<int64_t> shape) {
   RPT_CHECK_EQ(static_cast<int64_t>(values.size()), ShapeNumel(shape));
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = std::move(shape);
-  impl->AdoptOwned(std::move(values));
+  auto impl = NewImpl(std::move(shape), Init::kUninit);
+  std::copy(values.begin(), values.end(), impl->data);
   return Tensor(impl);
 }
 
 Tensor Tensor::Randn(std::vector<int64_t> shape, float stddev, Rng* rng) {
-  auto impl = NewImpl(std::move(shape));
+  auto impl = NewImpl(std::move(shape), Init::kUninit);
   for (size_t i = 0; i < impl->size; ++i) {
     impl->data[i] = static_cast<float>(rng->Normal(0.0, stddev));
   }
@@ -170,7 +177,7 @@ Tensor Tensor::Randn(std::vector<int64_t> shape, float stddev, Rng* rng) {
 
 Tensor Tensor::Uniform(std::vector<int64_t> shape, float lo, float hi,
                        Rng* rng) {
-  auto impl = NewImpl(std::move(shape));
+  auto impl = NewImpl(std::move(shape), Init::kUninit);
   for (size_t i = 0; i < impl->size; ++i) {
     impl->data[i] = rng->UniformFloat(lo, hi);
   }
@@ -267,7 +274,7 @@ void Tensor::BindTo(std::shared_ptr<const void> keepalive, const float* data) {
   impl_->data = const_cast<float*>(data);
   impl_->size = static_cast<size_t>(impl_->numel());
   impl_->storage = std::move(keepalive);
-  std::vector<float>().swap(impl_->owned);
+  impl_->owned.reset();
   std::vector<float>().swap(impl_->grad);
   impl_->requires_grad = false;
 }
@@ -349,9 +356,8 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   RPT_CHECK(impl_ != nullptr);
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = impl_->shape;
-  impl->AdoptOwned(std::vector<float>(impl_->data, impl_->data + impl_->size));
+  auto impl = NewImpl(impl_->shape, Init::kUninit);
+  std::copy(impl_->data, impl_->data + impl_->size, impl->data);
   return Tensor(impl);
 }
 
@@ -359,63 +365,67 @@ Tensor Tensor::Detach() const {
 
 namespace {
 
+// Visits every (flat index of a, index of b) pair of a broadcast binary op
+// in flat order: b either matches a, repeats as a trailing suffix (outer x
+// inner loops, so no per-element `%`), or is a scalar.
+template <typename Fn>
+inline void ForEachBroadcastPair(int64_t n, int64_t bn, BroadcastKind kind,
+                                 Fn&& fn) {
+  if (kind == BroadcastKind::kScalar) {
+    for (int64_t i = 0; i < n; ++i) fn(i, 0);
+    return;
+  }
+  for (int64_t base = 0; base < n; base += bn) {
+    for (int64_t j = 0; j < bn; ++j) fn(base + j, j);
+  }
+}
+
 // Shared implementation of Add/Sub/Mul with suffix/scalar broadcasting.
 enum class BinaryOp { kAdd, kSub, kMul };
+
+template <typename F>
+void BinaryForward(const float* __restrict ad, const float* __restrict bd,
+                   float* __restrict od, int64_t n, int64_t bn,
+                   BroadcastKind kind, F f) {
+  ForEachBroadcastPair(n, bn, kind,
+                       [&](int64_t i, int64_t j) { od[i] = f(ad[i], bd[j]); });
+}
 
 Tensor BinaryElementwise(const Tensor& a, const Tensor& b, BinaryOp op) {
   RPT_CHECK(a.defined() && b.defined());
   const auto kind = ClassifyBroadcast(a.shape(), b.shape());
   auto ai = a.impl();
   auto bi = b.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai, bi});
+  Tensor out = MakeOpResult(a.shape(), {ai, bi}, Init::kUninit);
   auto oi = out.impl();
   const int64_t n = a.numel();
   const int64_t bn = b.numel();
-  const float* ad = ai->data;
-  const float* bd = bi->data;
-  float* od = oi->data;
   switch (op) {
     case BinaryOp::kAdd:
-      if (kind == BroadcastKind::kScalar) {
-        const float s = bd[0];
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] + s;
-      } else {
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] + bd[i % bn];
-      }
+      BinaryForward(ai->data, bi->data, oi->data, n, bn, kind,
+                    [](float x, float y) { return x + y; });
       break;
     case BinaryOp::kSub:
-      if (kind == BroadcastKind::kScalar) {
-        const float s = bd[0];
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] - s;
-      } else {
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] - bd[i % bn];
-      }
+      BinaryForward(ai->data, bi->data, oi->data, n, bn, kind,
+                    [](float x, float y) { return x - y; });
       break;
     case BinaryOp::kMul:
-      if (kind == BroadcastKind::kScalar) {
-        const float s = bd[0];
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] * s;
-      } else {
-        for (int64_t i = 0; i < n; ++i) od[i] = ad[i] * bd[i % bn];
-      }
+      BinaryForward(ai->data, bi->data, oi->data, n, bn, kind,
+                    [](float x, float y) { return x * y; });
       break;
   }
-  AttachBackward(out, [oi, ai, bi, op, n, bn]() {
+  AttachBackward(out, [oi, ai, bi, op, kind, n, bn]() {
     const float* g = oi->grad.data();
     if (ai->requires_grad) {
       ai->EnsureGrad();
       float* ga = ai->grad.data();
       const float* bd = bi->data;
-      switch (op) {
-        case BinaryOp::kAdd:
-          for (int64_t i = 0; i < n; ++i) ga[i] += g[i];
-          break;
-        case BinaryOp::kSub:
-          for (int64_t i = 0; i < n; ++i) ga[i] += g[i];
-          break;
-        case BinaryOp::kMul:
-          for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * bd[i % bn];
-          break;
+      if (op == BinaryOp::kMul) {
+        ForEachBroadcastPair(n, bn, kind, [&](int64_t i, int64_t j) {
+          ga[i] += g[i] * bd[j];
+        });
+      } else {
+        for (int64_t i = 0; i < n; ++i) ga[i] += g[i];
       }
     }
     if (bi->requires_grad) {
@@ -424,13 +434,17 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, BinaryOp op) {
       const float* ad = ai->data;
       switch (op) {
         case BinaryOp::kAdd:
-          for (int64_t i = 0; i < n; ++i) gb[i % bn] += g[i];
+          ForEachBroadcastPair(n, bn, kind,
+                               [&](int64_t i, int64_t j) { gb[j] += g[i]; });
           break;
         case BinaryOp::kSub:
-          for (int64_t i = 0; i < n; ++i) gb[i % bn] -= g[i];
+          ForEachBroadcastPair(n, bn, kind,
+                               [&](int64_t i, int64_t j) { gb[j] -= g[i]; });
           break;
         case BinaryOp::kMul:
-          for (int64_t i = 0; i < n; ++i) gb[i % bn] += g[i] * ad[i];
+          ForEachBroadcastPair(n, bn, kind, [&](int64_t i, int64_t j) {
+            gb[j] += g[i] * ad[i];
+          });
           break;
       }
     }
@@ -454,7 +468,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 
 Tensor Scale(const Tensor& a, float scalar) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t n = a.numel();
   const float* ad = ai->data;
@@ -472,7 +486,7 @@ Tensor Scale(const Tensor& a, float scalar) {
 
 Tensor AddScalar(const Tensor& a, float scalar) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t n = a.numel();
   const float* ad = ai->data;
@@ -508,7 +522,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     std::vector<int64_t> out_shape = ash;
     out_shape.back() = n_cols;
     const int64_t rows = a.numel() / k;  // flatten all leading dims
-    Tensor out = MakeOpResult(out_shape, {ai, bi});
+    Tensor out = MakeOpResult(out_shape, {ai, bi}, Init::kZeroed);
     auto oi = out.impl();
     GemmNN(ai->data, bi->data, oi->data, rows, k,
            n_cols);
@@ -539,7 +553,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   for (size_t i = 0; i + 2 < ash.size(); ++i) batch *= ash[i];
   std::vector<int64_t> out_shape = ash;
   out_shape.back() = n_cols;
-  Tensor out = MakeOpResult(out_shape, {ai, bi});
+  Tensor out = MakeOpResult(out_shape, {ai, bi}, Init::kZeroed);
   auto oi = out.impl();
   const int64_t a_stride = m_rows * k;
   const int64_t b_stride = k * n_cols;
@@ -563,6 +577,57 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       for (int64_t s = 0; s < batch; ++s) {
         GemmTN(ai->data + s * a_stride, g + s * o_stride,
                bi->grad.data() + s * b_stride, m_rows, k, n_cols);
+      }
+    }
+  });
+  return out;
+}
+
+Tensor MatMulNT(const Tensor& a, const Tensor& b) {
+  RPT_CHECK(a.defined() && b.defined());
+  RPT_CHECK_GE(a.ndim(), 2);
+  RPT_CHECK_EQ(a.ndim(), b.ndim()) << "MatMulNT rank mismatch";
+  const auto& ash = a.shape();
+  const auto& bsh = b.shape();
+  int64_t batch = 1;
+  for (size_t i = 0; i + 2 < ash.size(); ++i) {
+    RPT_CHECK_EQ(ash[i], bsh[i]) << "MatMulNT batch-dim mismatch";
+    batch *= ash[i];
+  }
+  const int64_t m_rows = ash[ash.size() - 2];
+  const int64_t k = ash.back();
+  const int64_t n_rows = bsh[bsh.size() - 2];
+  RPT_CHECK_EQ(bsh.back(), k) << "MatMulNT inner dimension mismatch";
+  auto ai = a.impl();
+  auto bi = b.impl();
+  std::vector<int64_t> out_shape = ash;
+  out_shape.back() = n_rows;
+  Tensor out = MakeOpResult(std::move(out_shape), {ai, bi}, Init::kZeroed);
+  auto oi = out.impl();
+  const int64_t a_stride = m_rows * k;
+  const int64_t b_stride = n_rows * k;
+  const int64_t o_stride = m_rows * n_rows;
+  for (int64_t s = 0; s < batch; ++s) {
+    GemmNT(ai->data + s * a_stride, bi->data + s * b_stride,
+           oi->data + s * o_stride, m_rows, k, n_rows);
+  }
+  AttachBackward(out, [oi, ai, bi, batch, m_rows, k, n_rows, a_stride,
+                       b_stride, o_stride]() {
+    const float* g = oi->grad.data();
+    if (ai->requires_grad) {
+      ai->EnsureGrad();
+      // dA [M,K] += dOut [M,N] * B [N,K]
+      for (int64_t s = 0; s < batch; ++s) {
+        GemmNN(g + s * o_stride, bi->data + s * b_stride,
+               ai->grad.data() + s * a_stride, m_rows, n_rows, k);
+      }
+    }
+    if (bi->requires_grad) {
+      bi->EnsureGrad();
+      // dB [N,K] += dOut^T [N,M] * A [M,K]
+      for (int64_t s = 0; s < batch; ++s) {
+        GemmTN(g + s * o_stride, ai->data + s * a_stride,
+               bi->grad.data() + s * b_stride, m_rows, n_rows, k);
       }
     }
   });
@@ -628,7 +693,7 @@ namespace {
 Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& fwd,
                const std::function<float(float, float)>& dydx_from_x_y) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) {
@@ -691,7 +756,7 @@ Tensor Sigmoid(const Tensor& a) {
 
 Tensor Softmax(const Tensor& a) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t cols = a.dim(-1);
   const int64_t rows = a.numel() / cols;
@@ -713,9 +778,66 @@ Tensor Softmax(const Tensor& a) {
   return out;
 }
 
+Tensor MaskedSoftmax(Tensor scores, const Tensor& bias, float scale) {
+  RPT_CHECK(scores.defined());
+  const int64_t cols = scores.dim(-1);
+  const int64_t rows = cols > 0 ? scores.numel() / cols : 0;
+  if (bias.defined()) {
+    RPT_CHECK(bias.shape() == scores.shape())
+        << "MaskedSoftmax bias must match the scores shape";
+  }
+  const bool tracked = Tracks(scores) || (bias.defined() && Tracks(bias));
+  const bool in_place = !tracked && CanReuseInPlace(scores);
+  auto si = scores.impl();
+  auto bi = bias.defined() ? bias.impl() : nullptr;
+  Tensor out = scores;
+  if (!in_place) {
+    std::vector<std::shared_ptr<TensorImpl>> parents = {si};
+    if (bi != nullptr) parents.push_back(bi);
+    out = MakeOpResult(scores.shape(), std::move(parents), Init::kUninit);
+  }
+  auto oi = out.impl();
+  // One pass per row while it is cache-hot: y = x * scale (+ bias), then the
+  // dispatched softmax in place. Same float operations, in the same order,
+  // as Softmax(Add(Scale(x, scale), bias)).
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* x = si->data + r * cols;
+    float* y = oi->data + r * cols;
+    if (bi != nullptr) {
+      const float* b = bi->data + r * cols;
+      for (int64_t c = 0; c < cols; ++c) y[c] = x[c] * scale + b[c];
+    } else {
+      for (int64_t c = 0; c < cols; ++c) y[c] = x[c] * scale;
+    }
+    SoftmaxRows(y, y, 1, cols);
+  }
+  if (tracked) {
+    AttachBackward(out, [oi, si, bi, scale, rows, cols]() {
+      const bool need_x = si->requires_grad;
+      const bool need_bias = bi != nullptr && bi->requires_grad;
+      if (need_x) si->EnsureGrad();
+      if (need_bias) bi->EnsureGrad();
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* y = oi->data + r * cols;
+        const float* g = oi->grad.data() + r * cols;
+        float* gx = need_x ? si->grad.data() + r * cols : nullptr;
+        float* gb = need_bias ? bi->grad.data() + r * cols : nullptr;
+        float dot = 0.0f;
+        for (int64_t c = 0; c < cols; ++c) dot += y[c] * g[c];
+        for (int64_t c = 0; c < cols; ++c) {
+          const float dz = y[c] * (g[c] - dot);
+          if (gx != nullptr) gx[c] += dz * scale;
+          if (gb != nullptr) gb[c] += dz;
+        }
+      }
+    });
+  }
+  return out;
+}
+
 Tensor LogSoftmax(const Tensor& a) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t cols = a.dim(-1);
   const int64_t rows = a.numel() / cols;
@@ -746,7 +868,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   RPT_CHECK_EQ(gamma.numel(), cols);
   RPT_CHECK_EQ(beta.numel(), cols);
   const int64_t rows = x.numel() / cols;
-  Tensor out = MakeOpResult(x.shape(), {xi, gi, bi});
+  Tensor out = MakeOpResult(x.shape(), {xi, gi, bi}, Init::kUninit);
   auto oi = out.impl();
   // Cache per-row mean and inverse stddev for the backward pass.
   auto stats = std::make_shared<std::vector<float>>(
@@ -802,10 +924,15 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
 // ---- Shape ops -------------------------------------------------------------------
 
-Tensor Reshape(const Tensor& a, std::vector<int64_t> shape) {
+Tensor Reshape(Tensor a, std::vector<int64_t> shape) {
   RPT_CHECK_EQ(ShapeNumel(shape), a.numel()) << "Reshape numel mismatch";
+  // Untracked and handed over: relabel the buffer instead of copying it.
+  if (!Tracks(a) && CanReuseInPlace(a)) {
+    a.impl()->shape = std::move(shape);
+    return a;
+  }
   auto ai = a.impl();
-  Tensor out = MakeOpResult(std::move(shape), {ai});
+  Tensor out = MakeOpResult(std::move(shape), {ai}, Init::kUninit);
   auto oi = out.impl();
   std::memcpy(oi->data, ai->data, oi->size * sizeof(float));
   const int64_t n = a.numel();
@@ -819,74 +946,64 @@ Tensor Reshape(const Tensor& a, std::vector<int64_t> shape) {
   return out;
 }
 
-namespace {
-
-// Computes row-major strides.
-std::vector<int64_t> Strides(const std::vector<int64_t>& shape) {
-  std::vector<int64_t> strides(shape.size(), 1);
-  for (int64_t i = static_cast<int64_t>(shape.size()) - 2; i >= 0; --i) {
-    strides[static_cast<size_t>(i)] =
-        strides[static_cast<size_t>(i) + 1] * shape[static_cast<size_t>(i) + 1];
-  }
-  return strides;
-}
-
-}  // namespace
-
 Tensor Transpose(const Tensor& a, int64_t axis0, int64_t axis1) {
   const auto& ash = a.shape();
   const int64_t nd = a.ndim();
   if (axis0 < 0) axis0 += nd;
   if (axis1 < 0) axis1 += nd;
   RPT_CHECK(axis0 >= 0 && axis0 < nd && axis1 >= 0 && axis1 < nd);
+  if (axis0 == axis1) return Reshape(a, ash);
+  if (axis0 > axis1) std::swap(axis0, axis1);
   std::vector<int64_t> out_shape = ash;
   std::swap(out_shape[static_cast<size_t>(axis0)],
             out_shape[static_cast<size_t>(axis1)]);
   auto ai = a.impl();
-  Tensor out = MakeOpResult(out_shape, {ai});
+  Tensor out = MakeOpResult(out_shape, {ai}, Init::kUninit);
   auto oi = out.impl();
 
-  const auto in_strides = Strides(ash);
-  const int64_t n = a.numel();
-  // For each output flat index (enumerated via the output multi-index),
-  // compute the corresponding input flat index. Captures everything by
-  // value so the closure stays valid for the deferred backward pass.
-  auto permute = [in_strides, out_shape, nd, axis0, axis1, n](
-                     const float* src, float* dst, bool accumulate) {
-    std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      // idx currently holds the *output* multi-index.
-      int64_t src_flat = 0;
-      for (int64_t d = 0; d < nd; ++d) {
-        int64_t src_d = d;
-        if (d == axis0) {
-          src_d = axis1;
-        } else if (d == axis1) {
-          src_d = axis0;
+  // The input is [pre, n0, mid, n1, post] and the output
+  // [pre, n1, mid, n0, post]. Walking the output in order, every step moves
+  // one contiguous run of `post` floats; the input offset advances by a
+  // fixed stride, so nothing is recomputed per element. Forward copies
+  // input runs into the output; backward accumulates output-gradient runs
+  // back into the input gradient along the same walk.
+  auto span = [&ash](int64_t lo, int64_t hi) {
+    int64_t n = 1;
+    for (int64_t d = lo; d < hi; ++d) n *= ash[static_cast<size_t>(d)];
+    return n;
+  };
+  const int64_t pre = span(0, axis0);
+  const int64_t n0 = ash[static_cast<size_t>(axis0)];
+  const int64_t mid = span(axis0 + 1, axis1);
+  const int64_t n1 = ash[static_cast<size_t>(axis1)];
+  const int64_t post = span(axis1 + 1, nd);
+  auto permute = [pre, n0, mid, n1, post](const float* src, float* dst,
+                                          bool backward) {
+    const int64_t i_stride = mid * n1 * post;  // input step along n0
+    int64_t out_off = 0;
+    for (int64_t p = 0; p < pre; ++p) {
+      for (int64_t j = 0; j < n1; ++j) {
+        for (int64_t m = 0; m < mid; ++m) {
+          int64_t in_off = ((p * n0 * mid + m) * n1 + j) * post;
+          for (int64_t i = 0; i < n0; ++i, in_off += i_stride) {
+            if (backward) {
+              const float* g = src + out_off;
+              float* ga = dst + in_off;
+              for (int64_t q = 0; q < post; ++q) ga[q] += g[q];
+            } else {
+              std::copy_n(src + in_off, post, dst + out_off);
+            }
+            out_off += post;
+          }
         }
-        src_flat += idx[static_cast<size_t>(d)] *
-                    in_strides[static_cast<size_t>(src_d)];
-      }
-      if (accumulate) {
-        dst[src_flat] += src[flat];
-      } else {
-        dst[flat] = src[src_flat];
-      }
-      // Increment the output multi-index.
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        if (++idx[static_cast<size_t>(d)] <
-            out_shape[static_cast<size_t>(d)]) {
-          break;
-        }
-        idx[static_cast<size_t>(d)] = 0;
       }
     }
   };
-  permute(ai->data, oi->data, /*accumulate=*/false);
+  permute(ai->data, oi->data, /*backward=*/false);
   AttachBackward(out, [oi, ai, permute]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    permute(oi->grad.data(), ai->grad.data(), /*accumulate=*/true);
+    permute(oi->grad.data(), ai->grad.data(), /*backward=*/true);
   });
   return out;
 }
@@ -912,7 +1029,7 @@ Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end) {
   const int64_t len = end - start;
 
   auto ai = a.impl();
-  Tensor out = MakeOpResult(out_shape, {ai});
+  Tensor out = MakeOpResult(out_shape, {ai}, Init::kUninit);
   auto oi = out.impl();
   for (int64_t o = 0; o < outer; ++o) {
     const float* src =
@@ -963,7 +1080,7 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   parents.reserve(parts.size());
   for (const auto& p : parts) parents.push_back(p.impl());
-  Tensor out = MakeOpResult(out_shape, parents);
+  Tensor out = MakeOpResult(out_shape, parents, Init::kUninit);
   auto oi = out.impl();
 
   std::vector<int64_t> part_lens;
@@ -1010,7 +1127,8 @@ Tensor EmbeddingLookup(const Tensor& weight,
   const int64_t dim = weight.dim(1);
   auto wi = weight.impl();
   Tensor out =
-      MakeOpResult({static_cast<int64_t>(ids.size()), dim}, {wi});
+      MakeOpResult({static_cast<int64_t>(ids.size()), dim}, {wi},
+                   Init::kUninit);
   auto oi = out.impl();
   for (size_t i = 0; i < ids.size(); ++i) {
     const int32_t id = ids[i];
@@ -1038,7 +1156,7 @@ Tensor EmbeddingLookup(const Tensor& weight,
 
 Tensor Sum(const Tensor& a) {
   auto ai = a.impl();
-  Tensor out = MakeOpResult({1}, {ai});
+  Tensor out = MakeOpResult({1}, {ai}, Init::kUninit);
   auto oi = out.impl();
   double acc = 0.0;
   const int64_t n = a.numel();
@@ -1072,7 +1190,7 @@ Tensor CrossEntropyLoss(const Tensor& logits,
   RPT_CHECK_GE(label_smoothing, 0.0f);
   RPT_CHECK_LT(label_smoothing, 1.0f);
   auto li = logits.impl();
-  Tensor out = MakeOpResult({1}, {li});
+  Tensor out = MakeOpResult({1}, {li}, Init::kUninit);
   auto oi = out.impl();
 
   // Log-softmax probabilities, cached for backward.
@@ -1139,7 +1257,7 @@ Tensor Dropout(const Tensor& a, float p, bool training, Rng* rng) {
   RPT_CHECK_LT(p, 1.0f);
   RPT_CHECK(rng != nullptr);
   auto ai = a.impl();
-  Tensor out = MakeOpResult(a.shape(), {ai});
+  Tensor out = MakeOpResult(a.shape(), {ai}, Init::kUninit);
   auto oi = out.impl();
   const int64_t n = a.numel();
   const float scale = 1.0f / (1.0f - p);

@@ -150,6 +150,11 @@ Tensor AddScalar(const Tensor& a, float scalar);
 ///   a [B..., M, K] x b [B..., K, N]     -> [B..., M, N]  (batched matmul)
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Batched product with the second operand transposed:
+///   a [B..., M, K] x b [B..., N, K] -> [B..., M, N]   (a @ b^T)
+/// Runs GemmNT on b's own layout, so no transposed copy of b is made.
+Tensor MatMulNT(const Tensor& a, const Tensor& b);
+
 /// Activation applied by the fused MatMulBiasAct epilogue.
 enum class FusedAct { kNone, kRelu, kGelu };
 
@@ -173,6 +178,14 @@ Tensor Sigmoid(const Tensor& a);
 
 /// Softmax over the last axis.
 Tensor Softmax(const Tensor& a);
+/// Fused attention-score softmax over the last axis:
+///   softmax(scores * scale + bias)
+/// with the same float operations as Softmax(Add(Scale(scores, scale),
+/// bias)) but one pass per row and no temporaries. `bias` is undefined (no
+/// mask) or has the shape of `scores`. When no gradient is tracked and the
+/// caller hands over its only handle to `scores` (a temporary or
+/// std::move), the result is written in place into the scores buffer.
+Tensor MaskedSoftmax(Tensor scores, const Tensor& bias, float scale);
 /// Log-softmax over the last axis.
 Tensor LogSoftmax(const Tensor& a);
 /// Fused layer normalization over the last axis:
@@ -182,9 +195,12 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
 // ---- Shape ops --------------------------------------------------------------
 
-/// Copy with a new shape (same numel).
-Tensor Reshape(const Tensor& a, std::vector<int64_t> shape);
-/// Swaps two axes (materializing copy).
+/// The same elements under a new shape (same numel). A copy, except when no
+/// gradient is tracked and the caller hands over its only handle to `a` (a
+/// temporary or std::move): then the buffer is relabelled in place.
+Tensor Reshape(Tensor a, std::vector<int64_t> shape);
+/// Swaps two axes (materializing copy, moved in contiguous runs of the
+/// trailing axes after the later swapped axis).
 Tensor Transpose(const Tensor& a, int64_t axis0, int64_t axis1);
 /// Sub-range [start, end) along an axis.
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end);

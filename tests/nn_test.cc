@@ -4,7 +4,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +21,12 @@
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
+#include "rpt/cleaner.h"
+#include "table/table.h"
+#include "tensor/cpu_features.h"
 #include "tensor/tensor.h"
+#include "text/tokenizer.h"
+#include "text/vocab.h"
 #include "util/rng.h"
 
 namespace rpt {
@@ -808,6 +820,415 @@ TEST(GenerationTest, MaxLenIsClampedToPositionTable) {
   auto beam = model.GenerateBeam(one, bos, /*eos_id=*/-1, 50, 2, 1, &rng);
   ASSERT_EQ(beam.size(), 1u);
   EXPECT_LE(beam[0].size(), 7u);
+}
+
+// ---- Attention against the explicit pre-fusion composition ------------------
+
+// The attention math as it was composed before the fused path: an explicit
+// K^T transpose, MatMul, Scale, Add and Softmax, each its own op.
+class ReferenceAttention {
+ public:
+  explicit ReferenceAttention(const MultiHeadAttention& mha)
+      : heads_(mha.num_heads()) {
+    for (const auto& [name, tensor] : mha.NamedParameters()) {
+      params_[name] = tensor;
+    }
+  }
+
+  // query [B, Tq, D], source [B, Tk, D] (the keys/values before
+  // projection), bias [B, H, Tq, Tk] or undefined.
+  Tensor Forward(const Tensor& query, const Tensor& source,
+                 const Tensor& bias) const {
+    Tensor q = Split(Project(query, "q_proj"));
+    Tensor k = Split(Project(source, "k_proj"));
+    Tensor v = Split(Project(source, "v_proj"));
+    const float scale =
+        1.0f / std::sqrt(static_cast<float>(q.dim(-1)));
+    Tensor scores = Scale(MatMul(q, Transpose(k, 2, 3)), scale);
+    if (bias.defined()) scores = Add(scores, bias);
+    Tensor context = MatMul(Softmax(scores), v);
+    return Project(Merge(context), "out_proj");
+  }
+
+ private:
+  Tensor Project(const Tensor& x, const std::string& name) const {
+    return MatMulBiasAct(x, params_.at(name + ".weight"),
+                         params_.at(name + ".bias"), FusedAct::kNone);
+  }
+
+  // [B, T, H*Dh] -> [B, H, T, Dh].
+  Tensor Split(const Tensor& x) const {
+    return Transpose(
+        Reshape(x, {x.dim(0), x.dim(1), heads_, x.dim(2) / heads_}), 1, 2);
+  }
+
+  // [B, H, T, Dh] -> [B, T, H*Dh].
+  static Tensor Merge(const Tensor& x) {
+    return Reshape(Transpose(x, 1, 2),
+                   {x.dim(0), x.dim(2), x.dim(1) * x.dim(3)});
+  }
+
+  int64_t heads_;
+  std::map<std::string, Tensor> params_;
+};
+
+// The backends attention must agree on: scalar (bitwise) and, where the
+// host and build have it, avx2 (to 1e-4).
+std::vector<TensorBackend> AttentionBackends() {
+  std::vector<TensorBackend> backends = {TensorBackend::kScalar};
+  if (BuiltWithAvx2() && CpuSupportsAvx2Fma()) {
+    backends.push_back(TensorBackend::kAvx2);
+  }
+  return backends;
+}
+
+void ExpectAttentionMatches(const Tensor& got, const Tensor& want,
+                            TensorBackend backend, const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  if (backend == TensorBackend::kScalar) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<size_t>(got.numel())),
+              0)
+        << what << ": scalar attention is not bitwise the composition";
+    return;
+  }
+  float max_diff = 0.0f;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(got.at(i) - want.at(i)));
+  }
+  EXPECT_LE(max_diff, 1e-4f) << what << ": avx2 max abs diff";
+}
+
+// Ragged key validity: row b keeps its first T - (b % T) keys.
+std::vector<uint8_t> RaggedValid(int64_t batch, int64_t len) {
+  std::vector<uint8_t> valid(static_cast<size_t>(batch * len), 1);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t t = len - b % len; t < len; ++t) {
+      valid[static_cast<size_t>(b * len + t)] = 0;
+    }
+  }
+  return valid;
+}
+
+TEST(AttentionEquivalenceTest, FullPassMatchesComposition) {
+  constexpr int64_t kDim = 64, kHeads = 4, kLen = 11;
+  Rng rng(901);
+  MultiHeadAttention mha(kDim, kHeads, 0.0f, &rng);
+  mha.SetTraining(false);
+  ReferenceAttention reference(mha);
+  NoGradGuard no_grad;
+  for (TensorBackend backend : AttentionBackends()) {
+    ScopedTensorBackendOverride pin(backend);
+    for (int64_t batch : {1, 32}) {
+      Tensor x = Tensor::Randn({batch, kLen, kDim}, 1.0f, &rng);
+      Tensor memory = Tensor::Randn({batch, kLen + 3, kDim}, 1.0f, &rng);
+      const auto valid = RaggedValid(batch, kLen);
+      const auto mem_valid = RaggedValid(batch, kLen + 3);
+      // A row whose keys are all padding: every query of it is fully masked.
+      std::vector<uint8_t> dead = valid;
+      std::fill(dead.begin(), dead.begin() + kLen, 0);
+      Tensor dead_row_bias = BuildAttentionBias(batch, kHeads, kLen, kLen,
+                                                valid, /*causal=*/true);
+      for (int64_t j = 0; j < kLen; ++j) dead_row_bias.data()[j] = -1e9f;
+
+      const std::string tag = std::string(TensorBackendName(backend)) +
+                              " batch " + std::to_string(batch);
+      struct Case {
+        const char* name;
+        Tensor query, source, bias;
+      };
+      const std::vector<Case> cases = {
+          {"unmasked", x, x, Tensor()},
+          {"padded keys", x, x,
+           BuildAttentionBias(batch, kHeads, kLen, kLen, valid, false)},
+          {"causal", x, x,
+           BuildAttentionBias(batch, kHeads, kLen, kLen, valid, true)},
+          {"fully masked batch row", x, x,
+           BuildAttentionBias(batch, kHeads, kLen, kLen, dead, false)},
+          {"fully masked query row", x, x, dead_row_bias},
+          {"cross, padded memory", x, memory,
+           BuildAttentionBias(batch, kHeads, kLen, kLen + 3, mem_valid,
+                              false)},
+      };
+      for (const Case& c : cases) {
+        Tensor got = mha.Forward(c.query, c.source, c.source, c.bias, &rng);
+        ExpectAttentionMatches(got, reference.Forward(c.query, c.source,
+                                                      c.bias),
+                               backend, tag + " " + c.name);
+      }
+    }
+  }
+}
+
+TEST(AttentionEquivalenceTest, SingleQueryOverCachesMatchesComposition) {
+  constexpr int64_t kDim = 64, kHeads = 4, kSteps = 7, kMemLen = 9;
+  Rng rng(902);
+  MultiHeadAttention self_attn(kDim, kHeads, 0.0f, &rng);
+  MultiHeadAttention cross_attn(kDim, kHeads, 0.0f, &rng);
+  self_attn.SetTraining(false);
+  cross_attn.SetTraining(false);
+  ReferenceAttention self_ref(self_attn);
+  ReferenceAttention cross_ref(cross_attn);
+  NoGradGuard no_grad;
+  for (TensorBackend backend : AttentionBackends()) {
+    ScopedTensorBackendOverride pin(backend);
+    for (int64_t batch : {1, 32}) {
+      const std::string tag = std::string(TensorBackendName(backend)) +
+                              " batch " + std::to_string(batch);
+      Tensor steps = Tensor::Randn({batch, kSteps, kDim}, 1.0f, &rng);
+      Tensor memory = Tensor::Randn({batch, kMemLen, kDim}, 1.0f, &rng);
+      Tensor cross_bias = BuildIncrementalAttentionBias(
+          batch, kHeads, kMemLen, RaggedValid(batch, kMemLen));
+      KVCache self_cache;
+      KVCache cross_cache;
+      cross_attn.AppendKV(memory, memory, &cross_cache);  // compute once
+      for (int64_t t = 0; t < kSteps; ++t) {
+        Tensor x_t = Slice(steps, 1, t, t + 1);
+        // Append-mode self cache: the newest query sees every cached key.
+        Tensor got = self_attn.Forward(x_t, x_t, x_t, Tensor(), &rng,
+                                       &self_cache);
+        ExpectAttentionMatches(
+            got, self_ref.Forward(x_t, Slice(steps, 1, 0, t + 1), Tensor()),
+            backend, tag + " self step " + std::to_string(t));
+        Tensor cross = cross_attn.Forward(x_t, Tensor(), Tensor(),
+                                          cross_bias, &rng, &cross_cache);
+        ExpectAttentionMatches(cross,
+                               cross_ref.Forward(x_t, memory, cross_bias),
+                               backend, tag + " cross step " +
+                                            std::to_string(t));
+      }
+    }
+  }
+}
+
+TEST(AttentionEquivalenceTest, TrainingGradientsMatchComposition) {
+  // Training runs the same attention code: its parameter gradients match
+  // those of the composed reference graph.
+  ScopedTensorBackendOverride pin(TensorBackend::kScalar);
+  constexpr int64_t kDim = 32, kHeads = 4, kLen = 6, kBatch = 3;
+  Rng rng(903);
+  MultiHeadAttention mha(kDim, kHeads, 0.0f, &rng);
+  ReferenceAttention reference(mha);
+  Tensor x = Tensor::Randn({kBatch, kLen, kDim}, 1.0f, &rng);
+  Tensor w = Tensor::Randn({kBatch, kLen, kDim}, 1.0f, &rng);
+  Tensor bias = BuildAttentionBias(kBatch, kHeads, kLen, kLen,
+                                   RaggedValid(kBatch, kLen), true);
+  auto grads = [&](const Tensor& out) {
+    mha.ZeroGrad();
+    Sum(Mul(out, w)).Backward();
+    std::vector<float> all;
+    for (const Tensor& p : mha.Parameters()) {
+      all.insert(all.end(), p.grad_data(), p.grad_data() + p.numel());
+    }
+    return all;
+  };
+  // The reference projects through MatMulBiasAct, which under autograd
+  // composes MatMul + Add — the graph Linear builds when training.
+  const std::vector<float> got = grads(mha.Forward(x, x, x, bias, &rng));
+  const std::vector<float> want = grads(reference.Forward(x, x, bias));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << i;
+  }
+}
+
+// ---- Pinned forced-scalar cleaner output --------------------------------------
+
+uint64_t Fnv1a(const void* data, size_t bytes, uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+struct CleanerHashes {
+  uint64_t predictions = 1469598103934665603ull;
+  uint64_t logits = 1469598103934665603ull;
+};
+
+// A seeded tiny RPT-C, pre-trained briefly (dropout on) and queried, all
+// under the scalar backend: `predictions` hashes PredictBatch's strings and
+// `logits` the raw bits of three batched decode steps plus the encoder
+// memory over ragged sources.
+CleanerHashes TinyCleanerHashes() {
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
+  const std::vector<std::pair<std::string, std::string>> brands = {
+      {"apple", "usa"},  {"sony", "japan"},    {"samsung", "korea"},
+      {"dell", "texas"}, {"nokia", "finland"}, {"lenovo", "china"}};
+  Table table{Schema({"item", "brand", "country"})};
+  for (int r = 0; r < 4; ++r) {
+    for (const auto& [brand, country] : brands) {
+      table.AddRow({Value::String("item" + std::to_string(table.NumRows())),
+                    Value::String(brand), Value::String(country)});
+    }
+  }
+  std::unordered_map<std::string, int64_t> counts;
+  for (const auto& name : table.schema().names()) {
+    Tokenizer::CountTokens(name, &counts);
+  }
+  for (int64_t r = 0; r < table.NumRows(); ++r) {
+    for (int64_t c = 0; c < table.NumColumns(); ++c) {
+      Tokenizer::CountTokens(table.at(r, c).text(), &counts);
+    }
+  }
+  CleanerConfig config;
+  config.d_model = 32;
+  config.num_heads = 4;
+  config.num_layers = 2;
+  config.ffn_dim = 64;
+  config.max_seq_len = 48;
+  config.dropout = 0.1f;
+  config.batch_size = 8;
+  config.max_target_len = 6;
+  config.seed = 2024;
+  config.learning_rate = 3e-3f;
+  config.warmup_steps = 20;
+  RptCleaner cleaner(config, Vocab::Build(counts));
+  cleaner.PretrainOnTables({&table}, 120);
+
+  CleanerHashes hashes;
+  std::vector<CellQuery> queries;
+  for (int64_t r = 0; r < table.NumRows(); ++r) {
+    queries.push_back({table.row(r), 1 + r % 2});
+  }
+  for (const std::string& out :
+       cleaner.PredictBatch(table.schema(), queries)) {
+    hashes.predictions =
+        Fnv1a(out.data(), out.size() + 1, hashes.predictions);
+  }
+
+  NoGradGuard no_grad;
+  Rng rng(9);
+  const int32_t vocab = static_cast<int32_t>(cleaner.vocab().size());
+  std::vector<std::vector<int32_t>> seqs;
+  for (int b = 0; b < 5; ++b) {
+    std::vector<int32_t> seq;
+    for (int t = 0; t < 3 + 4 * b; ++t) {
+      seq.push_back(4 + static_cast<int32_t>(rng.UniformInt(vocab - 4)));
+    }
+    seqs.push_back(seq);
+  }
+  const Seq2SeqTransformer& model = cleaner.model();
+  TokenBatch src = TokenBatch::Pack(seqs, 0);
+  Tensor memory = model.Encode(src, &rng);
+  DecoderState state = model.BeginDecode(memory, src.valid);
+  std::vector<int32_t> last(seqs.size(), 1);
+  for (int step = 0; step < 3; ++step) {
+    Tensor logits = model.DecodeStep(last, &state, &rng);
+    hashes.logits = Fnv1a(logits.data(), sizeof(float) * logits.numel(),
+                          hashes.logits);
+    for (size_t b = 0; b < last.size(); ++b) {
+      last[b] = 4 + static_cast<int32_t>((step * 7 + b * 3) % (vocab - 4));
+    }
+  }
+  hashes.logits = Fnv1a(memory.data(), sizeof(float) * memory.numel(),
+                        hashes.logits);
+  return hashes;
+}
+
+TEST(PinnedOutputTest, ForcedScalarCleanerIsBitwiseStable) {
+  // Pinned from the composition that predates the fused attention path
+  // (explicit K^T transpose, unfused scale/bias/softmax). Training and
+  // inference both run through the pinned ops, so any change in scalar
+  // arithmetic order anywhere in the forward or backward pass moves these.
+  const CleanerHashes hashes = TinyCleanerHashes();
+  EXPECT_EQ(hashes.predictions, 0x12fa685c29772424ull);
+  EXPECT_EQ(hashes.logits, 0x0f3dc89617dcd834ull);
+}
+
+// ---- Ops that skip the zero-fill still write every element ---------------
+
+// Allocates and frees NaN-filled blocks of `floats` floats, so the next
+// allocation of that size most likely reuses NaN-poisoned memory.
+void PoisonFreedBlocks(size_t floats) {
+  std::vector<std::unique_ptr<float[]>> blocks;
+  for (int i = 0; i < 8; ++i) {
+    blocks.emplace_back(new float[floats]);
+    std::fill_n(blocks.back().get(), floats,
+                std::numeric_limits<float>::quiet_NaN());
+  }
+}
+
+TEST(UninitializedOutputTest, OpsWriteEveryElementOfTheirOutput) {
+  Rng rng(904);
+  Tensor x = Tensor::Randn({4, 6, 8}, 1.0f, &rng);
+  Tensor y = Tensor::Randn({4, 6, 8}, 1.0f, &rng);
+  Tensor row = Tensor::Randn({8}, 1.0f, &rng);
+  Tensor one = Tensor::Randn({1}, 1.0f, &rng);
+  Tensor gamma = Tensor::Randn({8}, 1.0f, &rng);
+  Tensor beta = Tensor::Randn({8}, 1.0f, &rng);
+  Tensor scores = Tensor::Randn({2, 4, 6, 6}, 1.0f, &rng);
+  Tensor bias = BuildAttentionBias(2, 4, 6, 6, RaggedValid(2, 6), true);
+  Tensor table = Tensor::Randn({10, 8}, 1.0f, &rng);
+  MultiHeadAttention mha(8, 2, 0.0f, &rng);
+  mha.SetTraining(false);
+
+  const std::vector<std::pair<const char*, std::function<Tensor()>>> ops = {
+      {"Add", [&] { return Add(x, y); }},
+      {"Add suffix", [&] { return Add(x, row); }},
+      {"Add scalar", [&] { return Add(x, one); }},
+      {"Sub suffix", [&] { return Sub(x, row); }},
+      {"Mul", [&] { return Mul(x, y); }},
+      {"Mul suffix", [&] { return Mul(x, row); }},
+      {"Scale", [&] { return Scale(x, 0.5f); }},
+      {"AddScalar", [&] { return AddScalar(x, 2.0f); }},
+      {"Relu", [&] { return Relu(x); }},
+      {"Gelu", [&] { return Gelu(x); }},
+      {"Tanh", [&] { return Tanh(x); }},
+      {"Sigmoid", [&] { return Sigmoid(x); }},
+      {"Softmax", [&] { return Softmax(x); }},
+      {"LogSoftmax", [&] { return LogSoftmax(x); }},
+      {"LayerNorm", [&] { return LayerNorm(x, gamma, beta); }},
+      {"Reshape copy", [&] { return Reshape(x, {24, 8}); }},
+      {"Reshape handed over", [&] { return Reshape(x.Detach(), {24, 8}); }},
+      {"Transpose 0,1", [&] { return Transpose(x, 0, 1); }},
+      {"Transpose 1,2", [&] { return Transpose(x, 1, 2); }},
+      {"Transpose 0,2", [&] { return Transpose(x, 0, 2); }},
+      {"Transpose head split", [&] { return Transpose(scores, 1, 2); }},
+      {"Slice", [&] { return Slice(x, 1, 2, 5); }},
+      {"Concat", [&] { return Concat({x, y}, 1); }},
+      {"EmbeddingLookup", [&] { return EmbeddingLookup(table, {3, 0, 9}); }},
+      {"Dropout",
+       [&] {
+         Rng dropout_rng(5);
+         return Dropout(x, 0.3f, /*training=*/true, &dropout_rng);
+       }},
+      {"MaskedSoftmax", [&] { return MaskedSoftmax(scores, bias, 0.5f); }},
+      {"MaskedSoftmax unmasked",
+       [&] { return MaskedSoftmax(scores, Tensor(), 0.5f); }},
+      {"MaskedSoftmax in place",
+       [&] { return MaskedSoftmax(scores.Detach(), bias, 0.5f); }},
+      {"Full", [&] { return Tensor::Full({4, 6, 8}, 3.0f); }},
+      {"FromVector", [&] { return Tensor::FromVector(x.ToVector(), {48, 4}); }},
+      {"Detach", [&] { return x.Detach(); }},
+      {"Attention", [&] { return mha.Forward(x, x, x, Tensor(), &rng); }},
+  };
+  for (bool tracked : {false, true}) {
+    x.set_requires_grad(tracked);
+    scores.set_requires_grad(tracked);
+    for (const auto& [name, op] : ops) {
+      const Tensor fresh = op();
+      PoisonFreedBlocks(static_cast<size_t>(fresh.numel()));
+      const Tensor poisoned = op();
+      ASSERT_EQ(poisoned.shape(), fresh.shape()) << name;
+      for (int64_t i = 0; i < poisoned.numel(); ++i) {
+        ASSERT_FALSE(std::isnan(poisoned.at(i)))
+            << name << " (tracked=" << tracked << ") left element " << i
+            << " unwritten";
+      }
+      EXPECT_EQ(std::memcmp(poisoned.data(), fresh.data(),
+                            sizeof(float) *
+                                static_cast<size_t>(fresh.numel())),
+                0)
+          << name << " (tracked=" << tracked << ")";
+      // A tracked result's graph is released by a backward pass.
+      for (const Tensor& t : {fresh, poisoned}) {
+        if (t.requires_grad()) Sum(t).Backward();
+      }
+    }
+  }
 }
 
 }  // namespace

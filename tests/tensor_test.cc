@@ -5,15 +5,28 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <tuple>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/cpu_features.h"
 #include "util/rng.h"
 
 namespace rpt {
 namespace {
+
+bool Avx2Available() { return BuiltWithAvx2() && CpuSupportsAvx2Fma(); }
+
+// Bitwise equality of two float buffers (NaN-safe, distinguishes -0).
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  return std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
 
 TEST(TensorTest, FactoriesAndShape) {
   Tensor z = Tensor::Zeros({2, 3});
@@ -408,6 +421,229 @@ TEST(AutogradTest, BroadcastAddReducesGradToBias) {
   bias.set_requires_grad(true);
   Sum(Add(x, bias)).Backward();
   for (int i = 0; i < 3; ++i) EXPECT_EQ(bias.grad_data()[i], 4.0f);
+}
+
+// Naive Transpose reference: recomputes the source multi-index per element.
+std::vector<float> NaiveTranspose(const Tensor& a, int64_t axis0,
+                                  int64_t axis1) {
+  const std::vector<int64_t>& shape = a.shape();
+  const size_t nd = shape.size();
+  std::vector<int64_t> out_shape = shape;
+  std::swap(out_shape[static_cast<size_t>(axis0)],
+            out_shape[static_cast<size_t>(axis1)]);
+  std::vector<int64_t> in_strides(nd, 1);
+  for (size_t d = nd - 1; d > 0; --d) {
+    in_strides[d - 1] = in_strides[d] * shape[d];
+  }
+  std::vector<float> out(static_cast<size_t>(a.numel()));
+  std::vector<int64_t> idx(nd, 0);
+  for (size_t flat = 0; flat < out.size(); ++flat) {
+    int64_t src = 0;
+    for (size_t d = 0; d < nd; ++d) {
+      size_t sd = d;
+      if (d == static_cast<size_t>(axis0)) sd = static_cast<size_t>(axis1);
+      if (d == static_cast<size_t>(axis1)) sd = static_cast<size_t>(axis0);
+      src += idx[d] * in_strides[sd];
+    }
+    out[flat] = a.at(src);
+    for (size_t d = nd; d-- > 0;) {
+      if (++idx[d] < out_shape[d]) break;
+      idx[d] = 0;
+    }
+  }
+  return out;
+}
+
+TEST(TransposeTest, MatchesNaiveReferenceForEveryAxisPair) {
+  const std::vector<std::vector<int64_t>> shapes = {
+      {3, 4},          {1, 5},          {4, 1},       {0, 3},
+      {2, 3, 4},       {2, 1, 3},       {3, 0, 2},    {2, 3, 4, 5},
+      {32, 2, 4, 3},   {1, 3, 1, 2},    {2, 0, 3, 1}, {2, 3, 1, 2, 3},
+      {1, 2, 3, 2, 1}, {2, 2, 0, 2, 2}};
+  Rng rng(41);
+  for (const auto& shape : shapes) {
+    Tensor a = Tensor::Randn(shape, 1.0f, &rng);
+    const int64_t nd = static_cast<int64_t>(shape.size());
+    for (int64_t x = 0; x < nd; ++x) {
+      for (int64_t y = 0; y < nd; ++y) {
+        Tensor t = Transpose(a, x, y);
+        std::vector<int64_t> expect_shape = shape;
+        std::swap(expect_shape[static_cast<size_t>(x)],
+                  expect_shape[static_cast<size_t>(y)]);
+        ASSERT_EQ(t.shape(), expect_shape);
+        EXPECT_EQ(t.ToVector(), NaiveTranspose(a, x, y))
+            << "rank " << nd << " axes " << x << "," << y;
+        // Negative axes name the same pair.
+        EXPECT_EQ(Transpose(a, x - nd, y - nd).ToVector(), t.ToVector());
+      }
+    }
+  }
+}
+
+TEST(TransposeTest, GradCheckEveryAxisPairOf4D) {
+  Rng rng(42);
+  Tensor w = Tensor::Randn({2, 3, 4, 2}, 1.0f, &rng);
+  for (int64_t x = 0; x < 4; ++x) {
+    for (int64_t y = x + 1; y < 4; ++y) {
+      // Weight the output elementwise so every position gets a distinct
+      // gradient, then check it lands at the transposed input position.
+      Tensor wt = Transpose(w, x, y);
+      auto fn = [&wt, x, y](const Tensor& in) {
+        return Sum(Mul(Tanh(Transpose(in, x, y)), wt));
+      };
+      Tensor in = Tensor::Randn({2, 3, 4, 2}, 1.0f, &rng);
+      EXPECT_LT(GradCheck(fn, in, 12, &rng), 1e-2)
+          << "axes " << x << "," << y;
+    }
+  }
+}
+
+TEST(MatMulNTTest, ForcedScalarIsBitwiseMatMulOfTranspose) {
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
+  Rng rng(43);
+  for (const auto& [m, k, n] : std::vector<std::tuple<int, int, int>>{
+           {1, 16, 26}, {26, 16, 26}, {7, 5, 3}, {33, 17, 9}, {1, 1, 1}}) {
+    Tensor a = Tensor::Randn({2, 3, m, k}, 1.0f, &rng);
+    Tensor b = Tensor::Randn({2, 3, n, k}, 1.0f, &rng);
+    a.set_requires_grad(true);
+    b.set_requires_grad(true);
+    Tensor w = Tensor::Randn({2, 3, m, n}, 1.0f, &rng);
+    Tensor fused = MatMulNT(a, b);
+    Tensor composed = MatMul(a, Transpose(b, -2, -1));
+    EXPECT_TRUE(BitwiseEqual(fused, composed)) << m << "x" << k << "x" << n;
+
+    // Backward is bitwise too: GemmNN/GemmTN accumulate in the order the
+    // composed graph's GemmNT/GemmTN + transpose-back did.
+    Sum(Mul(fused, w)).Backward();
+    Tensor ga = Tensor::FromVector(
+        std::vector<float>(a.grad_data(), a.grad_data() + a.numel()),
+        a.shape());
+    Tensor gb = Tensor::FromVector(
+        std::vector<float>(b.grad_data(), b.grad_data() + b.numel()),
+        b.shape());
+    a.ZeroGrad();
+    b.ZeroGrad();
+    Sum(Mul(composed, w)).Backward();
+    EXPECT_EQ(std::memcmp(ga.data(), a.grad_data(),
+                          sizeof(float) * static_cast<size_t>(a.numel())),
+              0);
+    EXPECT_EQ(std::memcmp(gb.data(), b.grad_data(),
+                          sizeof(float) * static_cast<size_t>(b.numel())),
+              0);
+  }
+}
+
+TEST(MatMulNTTest, Avx2AgreesWithScalar) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA on this host/build";
+  Rng rng(44);
+  Tensor a = Tensor::Randn({4, 26, 16}, 1.0f, &rng);
+  Tensor b = Tensor::Randn({4, 29, 16}, 1.0f, &rng);
+  Tensor scalar, simd;
+  {
+    ScopedTensorBackendOverride pin(TensorBackend::kScalar);
+    scalar = MatMulNT(a, b);
+  }
+  {
+    ScopedTensorBackendOverride pin(TensorBackend::kAvx2);
+    simd = MatMulNT(a, b);
+  }
+  for (int64_t i = 0; i < scalar.numel(); ++i) {
+    EXPECT_NEAR(simd.at(i), scalar.at(i), 1e-4) << i;
+  }
+}
+
+TEST(MatMulNTTest, GradCheckBothOperands) {
+  Rng rng(45);
+  Tensor b = Tensor::Randn({2, 4, 3}, 0.5f, &rng);
+  b.set_requires_grad(true);
+  auto fn_a = [&b](const Tensor& x) { return Sum(Tanh(MatMulNT(x, b))); };
+  Tensor a = Tensor::Randn({2, 5, 3}, 0.5f, &rng);
+  EXPECT_LT(GradCheck(fn_a, a, 12, &rng), 1e-2);
+  Tensor a2 = Tensor::Randn({2, 5, 3}, 0.5f, &rng);
+  auto fn_b = [&a2](const Tensor& x) { return Sum(Tanh(MatMulNT(a2, x))); };
+  Tensor b2 = Tensor::Randn({2, 4, 3}, 0.5f, &rng);
+  EXPECT_LT(GradCheck(fn_b, b2, 12, &rng), 1e-2);
+}
+
+Tensor UnfusedMaskedSoftmax(const Tensor& s, const Tensor& bias,
+                            float scale) {
+  Tensor z = Scale(s, scale);
+  if (bias.defined()) z = Add(z, bias);
+  return Softmax(z);
+}
+
+TEST(MaskedSoftmaxTest, ForcedScalarIsBitwiseTheUnfusedComposition) {
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
+  Rng rng(46);
+  Tensor s = Tensor::Randn({2, 3, 5, 7}, 2.0f, &rng);
+  Tensor bias = Tensor::Randn({2, 3, 5, 7}, 1.0f, &rng);
+  for (int64_t i = 0; i < bias.numel(); i += 3) bias.data()[i] = -1e9f;
+  for (int64_t c = 0; c < 7; ++c) bias.data()[c] = -1e9f;  // a dead row
+  const float scale = 0.3f;
+  for (const Tensor& b : {bias, Tensor()}) {
+    NoGradGuard no_grad;
+    Tensor fused = MaskedSoftmax(s, b, scale);
+    EXPECT_TRUE(BitwiseEqual(fused, UnfusedMaskedSoftmax(s, b, scale)));
+  }
+  // Handing over the only handle computes in place; a shared input is
+  // left untouched.
+  NoGradGuard no_grad;
+  Tensor copy = s.Detach();
+  const float* buffer = copy.data();
+  Tensor in_place = MaskedSoftmax(std::move(copy), bias, scale);
+  EXPECT_EQ(in_place.data(), buffer);
+  EXPECT_TRUE(
+      BitwiseEqual(in_place, UnfusedMaskedSoftmax(s, bias, scale)));
+  Tensor kept = s.Detach();
+  Tensor out = MaskedSoftmax(kept, bias, scale);
+  EXPECT_NE(out.data(), kept.data());
+  EXPECT_TRUE(BitwiseEqual(kept, s));
+}
+
+TEST(MaskedSoftmaxTest, GradientMatchesUnfusedComposition) {
+  Rng rng(47);
+  Tensor bias = Tensor::Randn({3, 4, 6}, 1.0f, &rng);
+  for (int64_t i = 0; i < bias.numel(); i += 5) bias.data()[i] = -1e9f;
+  bias.set_requires_grad(true);
+  Tensor w = Tensor::Randn({3, 4, 6}, 1.0f, &rng);
+  const float scale = 0.5f;
+  auto fused = [&](const Tensor& x) {
+    return Sum(Mul(MaskedSoftmax(x, bias, scale), w));
+  };
+  auto unfused = [&](const Tensor& x) {
+    return Sum(Mul(UnfusedMaskedSoftmax(x, bias, scale), w));
+  };
+  Tensor x = Tensor::Randn({3, 4, 6}, 1.0f, &rng);
+  EXPECT_LT(GradCheck(fused, x, 16, &rng), 1e-2);
+
+  // Analytic gradients (scores and bias) agree with the unfused graph.
+  auto grads = [&](const std::function<Tensor(const Tensor&)>& fn) {
+    Tensor in = x.Detach();
+    in.set_requires_grad(true);
+    bias.ZeroGrad();
+    fn(in).Backward();
+    std::vector<float> g(in.grad_data(), in.grad_data() + in.numel());
+    g.insert(g.end(), bias.grad_data(), bias.grad_data() + bias.numel());
+    return g;
+  };
+  const std::vector<float> got = grads(fused);
+  const std::vector<float> want = grads(unfused);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-6) << i;
+  }
+}
+
+TEST(ReshapeTest, HandedOverBufferIsRelabelledAndSharedOneCopied) {
+  NoGradGuard no_grad;
+  Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3});
+  Tensor shared = Reshape(a, {3, 2});
+  EXPECT_NE(shared.data(), a.data());
+  EXPECT_EQ(a.shape(), (std::vector<int64_t>{2, 3}));
+  const float* buffer = shared.data();
+  Tensor moved = Reshape(std::move(shared), {6});
+  EXPECT_EQ(moved.data(), buffer);
+  EXPECT_EQ(moved.ToVector(), a.ToVector());
 }
 
 // Property-style sweep: MatMul shapes.
