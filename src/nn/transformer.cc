@@ -4,8 +4,10 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <utility>
 
+#include "nn/compute_pool.h"
 #include "profile/perf_hooks.h"
 #include "util/logging.h"
 
@@ -418,36 +420,108 @@ std::vector<std::vector<int32_t>> Seq2SeqTransformer::GenerateGreedy(
   max_len = std::min(max_len, config_.max_seq_len - 1);
   const int64_t batch = src.batch;
   const int64_t v = config_.vocab_size;
-  std::vector<std::vector<int32_t>> generated(
-      static_cast<size_t>(batch), std::vector<int32_t>{bos_id});
-  if (batch == 0 || max_len <= 0) {
-    for (auto& seq : generated) seq.erase(seq.begin());
-    return generated;
+  std::vector<std::vector<int32_t>> generated(static_cast<size_t>(batch));
+  if (batch == 0 || max_len <= 0) return generated;
+
+  // Rows sorted by source length (trailing padding excluded) and cut into
+  // contiguous shards, each packed to its own longest row: a shard carries
+  // no other shard's padding, and one shard is the serial path.
+  std::vector<int64_t> lengths(static_cast<size_t>(batch), src.len);
+  if (!src.valid.empty()) {
+    for (int64_t b = 0; b < batch; ++b) {
+      const uint8_t* valid = src.valid.data() + b * src.len;
+      int64_t len = src.len;
+      while (len > 1 && valid[len - 1] == 0) --len;
+      lengths[static_cast<size_t>(b)] = len;
+    }
+  }
+  std::vector<int64_t> order(static_cast<size_t>(batch));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&lengths](int64_t a,
+                                                          int64_t b) {
+    return lengths[static_cast<size_t>(a)] < lengths[static_cast<size_t>(b)];
+  });
+  // Shard s ends once the running token count reaches (s + 1) / num_shards
+  // of the total, so the encoder work is even and shards of short rows take
+  // more rows. Every shard keeps at least one row.
+  const int64_t num_shards = ComputeShardCount(batch);
+  int64_t total = 0;
+  for (int64_t len : lengths) total += len;
+  std::vector<int64_t> ends;  // one past each shard's last sorted row
+  int64_t running = 0;
+  for (int64_t i = 0; i < batch; ++i) {
+    running += lengths[static_cast<size_t>(order[static_cast<size_t>(i)])];
+    const int64_t cut = static_cast<int64_t>(ends.size()) + 1;
+    if (cut < num_shards && (running * num_shards >= cut * total ||
+                             batch - (i + 1) == num_shards - cut)) {
+      ends.push_back(i + 1);
+    }
+  }
+  ends.push_back(batch);
+
+  struct Shard {
+    TokenBatch src;
+    Tensor memory;
+    DecoderState state;
+    // Batch rows still decoding, in decode-state row order. A row that
+    // emits EOS is compacted out of the decode state (all caches), so later
+    // steps run the decoder over active rows only.
+    std::vector<int64_t> active;
+  };
+  std::vector<Shard> shards(static_cast<size_t>(num_shards));
+  const auto copy_prefix = [&src](const auto& from, int64_t b, int64_t len,
+                                  auto* to) {
+    if (from.empty()) return;
+    const auto row = from.begin() + b * src.len;
+    to->insert(to->end(), row, row + len);
+  };
+  for (int64_t s = 0, begin = 0; s < num_shards; ++s) {
+    Shard& shard = shards[static_cast<size_t>(s)];
+    const int64_t end = ends[static_cast<size_t>(s)];
+    shard.active.assign(order.begin() + begin, order.begin() + end);
+    begin = end;
+    TokenBatch& packed = shard.src;
+    packed.batch = static_cast<int64_t>(shard.active.size());
+    packed.len = lengths[static_cast<size_t>(shard.active.back())];
+    for (int64_t b : shard.active) {
+      copy_prefix(src.ids, b, packed.len, &packed.ids);
+      copy_prefix(src.col_ids, b, packed.len, &packed.col_ids);
+      copy_prefix(src.type_ids, b, packed.len, &packed.type_ids);
+      copy_prefix(src.valid, b, packed.len, &packed.valid);
+    }
   }
 
-  Tensor memory = Encode(src, rng);
-  DecoderState state = BeginDecode(memory, src.valid);
-
-  // Rows still decoding. When a row emits EOS it is compacted out of the
-  // decode state (all caches), so later steps run the decoder over active
-  // rows only — with ragged answer lengths the average decode batch shrinks
-  // toward the longest answers instead of staying at `batch`.
-  std::vector<int64_t> active(static_cast<size_t>(batch));
-  for (int64_t b = 0; b < batch; ++b) active[static_cast<size_t>(b)] = b;
-
-  for (int64_t step = 0; step < max_len && !active.empty(); ++step) {
+  // Each stage is one fork-join phase over the shards, timed here on the
+  // calling thread; the stage scopes inside the shard bodies are muted.
+  {
+    ScopedStageTiming phase("nn.encode");
+    RunComputePhase(num_shards, [&](int64_t s) {
+      Shard& shard = shards[static_cast<size_t>(s)];
+      shard.memory = Encode(shard.src, rng);
+    });
+  }
+  {
+    ScopedStageTiming phase("nn.prefill");
+    RunComputePhase(num_shards, [&](int64_t s) {
+      Shard& shard = shards[static_cast<size_t>(s)];
+      shard.state = BeginDecode(shard.memory, shard.src.valid);
+      shard.memory = Tensor();  // the cross caches hold what decode needs
+    });
+  }
+  const auto decode_step = [&](Shard& shard) {
     std::vector<int32_t> last;
-    last.reserve(active.size());
-    for (int64_t b : active) {
-      last.push_back(generated[static_cast<size_t>(b)].back());
+    last.reserve(shard.active.size());
+    for (int64_t b : shard.active) {
+      const auto& seq = generated[static_cast<size_t>(b)];
+      last.push_back(seq.empty() ? bos_id : seq.back());
     }
-    Tensor logits = DecodeStep(last, &state, rng);
+    Tensor logits = DecodeStep(last, &shard.state, rng);
 
     std::vector<int64_t> still_active;
     std::vector<int64_t> keep;  // positions within the current state rows
-    still_active.reserve(active.size());
-    for (size_t i = 0; i < active.size(); ++i) {
-      const int64_t b = active[i];
+    still_active.reserve(shard.active.size());
+    for (size_t i = 0; i < shard.active.size(); ++i) {
+      const int64_t b = shard.active[i];
       const float* row = logits.data() + static_cast<int64_t>(i) * v;
       int32_t best = 0;
       for (int64_t c = 1; c < v; ++c) {
@@ -459,13 +533,22 @@ std::vector<std::vector<int32_t>> Seq2SeqTransformer::GenerateGreedy(
         keep.push_back(static_cast<int64_t>(i));
       }
     }
-    if (still_active.size() != active.size() && !still_active.empty()) {
-      state.GatherRows(keep);
+    if (still_active.size() != shard.active.size() && !still_active.empty()) {
+      shard.state.GatherRows(keep);
     }
-    active = std::move(still_active);
-  }
-  for (auto& seq : generated) {
-    seq.erase(seq.begin());  // drop BOS
+    shard.active = std::move(still_active);
+  };
+  std::vector<Shard*> live;
+  for (int64_t step = 0; step < max_len; ++step) {
+    live.clear();
+    for (Shard& shard : shards) {
+      if (!shard.active.empty()) live.push_back(&shard);
+    }
+    if (live.empty()) break;
+    ScopedStageTiming phase("nn.decode_step");
+    RunComputePhase(static_cast<int64_t>(live.size()), [&](int64_t s) {
+      decode_step(*live[static_cast<size_t>(s)]);
+    });
   }
   return generated;
 }

@@ -218,12 +218,16 @@ class Seq2SeqTransformer : public Module {
   /// prefix never outgrows the position table). Returns one id sequence per
   /// batch row (without BOS/EOS).
   ///
-  /// Decodes the whole batch through the KV-cached DecodeStep — O(1) per
-  /// step in prefix length; rows that emit EOS are compacted out of the
-  /// decode state, so a micro-batch of ragged-length answers only pays for
-  /// its active rows. Eval mode is forced for the duration of the call
-  /// (and restored), so results are deterministic even on a model left in
-  /// training mode.
+  /// Rows are sorted by source length and cut into ComputeShardCount(batch)
+  /// contiguous shards, each packed to its own longest row. Encode, prefill
+  /// and every decode step run as one fork-join phase over the shards on
+  /// the compute pool (nn/compute_pool.h); results come back in row order.
+  /// Each shard decodes through the KV-cached DecodeStep — O(1) per step in
+  /// prefix length; rows that emit EOS are compacted out of the decode
+  /// state, so a micro-batch of ragged-length answers only pays for its
+  /// active rows. Eval mode is forced for the duration of the call (and
+  /// restored), so results are deterministic even on a model left in
+  /// training mode. The model must not be used by another thread meanwhile.
   std::vector<std::vector<int32_t>> GenerateGreedy(const TokenBatch& src,
                                                    int32_t bos_id,
                                                    int32_t eos_id,

@@ -13,6 +13,7 @@ std::atomic<bool> g_hook_installed{false};
 std::mutex g_hook_mu;
 // Shared so an emit racing a SetStageTimingHook keeps a live copy.
 std::shared_ptr<const StageTimingHook> g_hook;
+thread_local bool t_muted = false;
 
 }  // namespace
 
@@ -30,6 +31,12 @@ void SetStageTimingHook(StageTimingHook hook) {
 bool StageTimingHookInstalled() {
   return g_hook_installed.load(std::memory_order_acquire);
 }
+
+bool StageTimingMuted() { return t_muted; }
+
+ScopedStageMute::ScopedStageMute() : prev_(t_muted) { t_muted = true; }
+
+ScopedStageMute::~ScopedStageMute() { t_muted = prev_; }
 
 void EmitStageTiming(const char* stage, StageClock::time_point begin,
                      StageClock::time_point end) {

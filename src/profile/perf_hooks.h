@@ -31,17 +31,22 @@ void SetStageTimingHook(StageTimingHook hook);
 /// One relaxed atomic load; the fast-path guard.
 bool StageTimingHookInstalled();
 
+/// True while a ScopedStageMute is open on the calling thread.
+bool StageTimingMuted();
+
 /// Invokes the installed hook, if any.
 void EmitStageTiming(const char* stage, StageClock::time_point begin,
                      StageClock::time_point end);
 
 /// RAII stage scope. Reads the clock only when a hook is installed at
-/// construction time.
+/// construction time and the thread is not muted.
 class ScopedStageTiming {
  public:
-  explicit ScopedStageTiming(const char* stage)
-      : stage_(StageTimingHookInstalled() ? stage : nullptr) {
-    if (stage_ != nullptr) begin_ = StageClock::now();
+  explicit ScopedStageTiming(const char* stage) {
+    if (StageTimingHookInstalled() && !StageTimingMuted()) {
+      stage_ = stage;
+      begin_ = StageClock::now();
+    }
   }
   ~ScopedStageTiming() {
     if (stage_ != nullptr) EmitStageTiming(stage_, begin_, StageClock::now());
@@ -51,8 +56,24 @@ class ScopedStageTiming {
   ScopedStageTiming& operator=(const ScopedStageTiming&) = delete;
 
  private:
-  const char* stage_;
+  const char* stage_ = nullptr;
   StageClock::time_point begin_;
+};
+
+/// RAII: while in scope, stage scopes opened on the calling thread emit
+/// nothing. A fork-join phase (nn/compute_pool.h) runs each shard body
+/// under one, so the phase is timed once, by the thread that forked it, and
+/// concurrent shards never emit overlapping spans. Nests.
+class ScopedStageMute {
+ public:
+  ScopedStageMute();
+  ~ScopedStageMute();
+
+  ScopedStageMute(const ScopedStageMute&) = delete;
+  ScopedStageMute& operator=(const ScopedStageMute&) = delete;
+
+ private:
+  bool prev_;
 };
 
 }  // namespace rpt

@@ -11,13 +11,19 @@
 
 namespace rpt {
 
-/// Pins the calling thread to logical CPU `cpu` (modulo the online CPU
-/// count, so round-robin assignment never passes an out-of-range id).
-/// Returns true when the affinity mask was applied.
+/// Pins the calling thread to the (cpu mod OnlineCpuCount())-th CPU the
+/// process may run on, so round-robin assignment never names a CPU outside
+/// the process's mask. Returns true when the affinity mask was applied.
 bool PinCurrentThreadToCpu(int cpu);
 
-/// Logical CPUs available to this process (>= 1).
+/// Logical CPUs this process may run on (>= 1): its affinity mask at
+/// start-up (e.g. under `taskset` or a cpuset), else the online count.
 int OnlineCpuCount();
+
+/// Widens the calling thread's affinity back to the CPUs the process could
+/// run on when it started (read before main()), undoing any pin it
+/// inherited from the thread that created it. Returns true when applied.
+bool UnpinCurrentThread();
 
 }  // namespace rpt
 

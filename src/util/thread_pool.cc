@@ -1,16 +1,43 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
+#include "util/affinity.h"
 #include "util/logging.h"
 
 namespace rpt {
+
+namespace {
+
+// How long an idle worker, or a caller waiting on a ParallelFor, polls
+// before it blocks. Fork-join phases follow each other within
+// microseconds; waking a blocked thread takes 50-300 us on a virtualised
+// host, longer than a whole small phase.
+constexpr std::chrono::microseconds kSpinBeforeBlock{100};
+
+// Polls `ready` (yielding the CPU between polls) until it holds or the spin
+// budget runs out. The caller then takes the blocking path, which re-checks.
+template <typename Ready>
+void SpinUntil(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBeforeBlock;
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   RPT_CHECK_GE(num_threads, 1u);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] {
+      // A pool created from a pinned thread would otherwise inherit its
+      // one-CPU mask and crowd every worker onto that CPU.
+      UnpinCurrentThread();
+      WorkerLoop();
+    });
   }
 }
 
@@ -27,6 +54,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
+    queued_.store(tasks_.size(), std::memory_order_relaxed);
     ++in_flight_;
   }
   task_cv_.notify_one();
@@ -40,6 +68,7 @@ void ThreadPool::Wait() {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
+    SpinUntil([this] { return queued_.load(std::memory_order_relaxed) > 0; });
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
@@ -49,6 +78,7 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(tasks_.front());
       tasks_.pop();
+      queued_.store(tasks_.size(), std::memory_order_relaxed);
     }
     task();
     {
@@ -62,35 +92,34 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  const size_t shards = std::max<size_t>(1, std::min(num_threads(), n));
-  const size_t chunk = (n + shards - 1) / shards;
-  if (shards == 1 || chunk >= n) {
-    for (size_t i = 0; i < n; ++i) body(i);
+  // k participants (the caller and up to k - 1 workers) take contiguous
+  // ranges [s*n/k, (s+1)*n/k), whose sizes differ by at most one.
+  const size_t k = std::min(n, num_threads() + 1);
+  const auto run = [n, k, &body](size_t s) {
+    for (size_t i = s * n / k; i < (s + 1) * n / k; ++i) body(i);
+  };
+  if (k == 1) {
+    run(0);
     return;
   }
-  // Shards 1..k run on the pool; shard 0 runs inline on the caller so the
-  // calling thread contributes work instead of idling on the wait.
-  // `remaining` is fixed before any task is submitted: a shard finishing
-  // early must never race a later unlocked increment.
+  // `remaining` is fixed before any task is submitted: a range finishing
+  // early must never race a later increment. It only changes under
+  // `done_mu`, so the final lock below also waits for the last worker to
+  // release the mutex before it goes out of scope.
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t remaining = 0;
-  for (size_t s = 1; s < shards; ++s) {
-    if (s * chunk < n) ++remaining;
-  }
-  for (size_t s = 1; s < shards; ++s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    Submit([begin, end, &body, &done_mu, &done_cv, &remaining] {
-      for (size_t i = begin; i < end; ++i) body(i);
+  std::atomic<size_t> remaining{k - 1};
+  for (size_t s = 1; s < k; ++s) {
+    Submit([s, &run, &done_mu, &done_cv, &remaining] {
+      run(s);
       std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
+      if (remaining.fetch_sub(1) == 1) done_cv.notify_one();
     });
   }
-  for (size_t i = 0; i < std::min(n, chunk); ++i) body(i);
+  run(0);  // the caller works instead of idling on the wait
+  SpinUntil([&remaining] { return remaining.load() == 0; });
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  done_cv.wait(lock, [&remaining] { return remaining.load() == 0; });
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t num_threads,

@@ -1,12 +1,14 @@
 // Fixed-size worker pool with a ParallelFor convenience.
 //
-// Used for embarrassingly parallel evaluation loops (pair scoring,
-// similarity features). Model *training* stays single-threaded so gradients
-// are bit-reproducible.
+// The process-wide compute pool (nn/compute_pool.h) is one: inference runs
+// the row shards of a batch on it as fork-join phases. Model *training*
+// stays single-threaded so gradients are bit-reproducible. Workers start on
+// every CPU the process may use, whatever the mask of the creating thread.
 
 #ifndef RPT_UTIL_THREAD_POOL_H_
 #define RPT_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -34,10 +36,12 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Runs body(i) for i in [0, n) partitioned over this pool's workers;
-  /// blocks until complete. The calling thread executes the first shard
-  /// itself, so there is no per-call thread spawn. Must not be called from
-  /// inside a pool task (the wait could deadlock on a saturated pool).
+  /// Runs body(i) for i in [0, n) split into k = min(n, num_threads() + 1)
+  /// contiguous ranges of n/k items (rounded either way), one per
+  /// participant; blocks until complete. The calling thread is a
+  /// participant and runs the first range itself, so there is no per-call
+  /// thread spawn. Must not be called from inside a pool task (the wait
+  /// could deadlock on a saturated pool).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// Static shim: runs body(i) for i in [0, n) on up to `num_threads`
@@ -51,6 +55,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
+  // tasks_.size(), readable without mu_: idle workers poll it briefly
+  // before they block on task_cv_.
+  std::atomic<size_t> queued_{0};
   std::mutex mu_;
   std::condition_variable task_cv_;
   std::condition_variable done_cv_;

@@ -2,6 +2,7 @@
 // checkpointing, including small end-to-end learning sanity checks.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -10,7 +11,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -18,15 +21,18 @@
 
 #include "nn/attention.h"
 #include "nn/checkpoint.h"
+#include "nn/compute_pool.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
+#include "profile/perf_hooks.h"
 #include "rpt/cleaner.h"
 #include "table/table.h"
 #include "tensor/cpu_features.h"
 #include "tensor/tensor.h"
 #include "text/tokenizer.h"
 #include "text/vocab.h"
+#include "util/affinity.h"
 #include "util/rng.h"
 
 namespace rpt {
@@ -501,34 +507,6 @@ TEST(GenerationTest, BeamWidthOneAgreesWithGreedy) {
     ASSERT_EQ(greedy.size(), 1u);
     ASSERT_EQ(beam.size(), 1u);
     EXPECT_EQ(greedy[0], beam[0]) << "trial " << trial;
-  }
-}
-
-TEST(GenerationTest, BatchedGreedyMatchesPerRowGreedy) {
-  // The micro-batch path: decoding many ragged sources together (with
-  // finished-row compaction) must produce exactly what one-at-a-time
-  // decoding produces.
-  Rng rng(202);
-  auto config = SmallConfig(20);
-  Seq2SeqTransformer model(config, &rng);
-  model.SetTraining(false);
-  const int32_t bos = 1, eos = 2;
-  std::vector<std::vector<int32_t>> seqs;
-  for (int i = 0; i < 6; ++i) {
-    std::vector<int32_t> seq;
-    const int len = 1 + static_cast<int>(rng.UniformInt(5));
-    for (int t = 0; t < len; ++t) {
-      seq.push_back(3 + static_cast<int32_t>(rng.UniformInt(16)));
-    }
-    seqs.push_back(std::move(seq));
-  }
-  TokenBatch packed = TokenBatch::Pack(seqs, 0);
-  auto batched = model.GenerateGreedy(packed, bos, eos, 8, &rng);
-  ASSERT_EQ(batched.size(), seqs.size());
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    TokenBatch single = TokenBatch::Pack({seqs[i]}, 0);
-    auto one = model.GenerateGreedy(single, bos, eos, 8, &rng);
-    EXPECT_EQ(batched[i], one[0]) << "row " << i;
   }
 }
 
@@ -1048,16 +1026,20 @@ struct CleanerHashes {
   uint64_t logits = 1469598103934665603ull;
 };
 
-// A seeded tiny RPT-C, pre-trained briefly (dropout on) and queried, all
-// under the scalar backend: `predictions` hashes PredictBatch's strings and
-// `logits` the raw bits of three batched decode steps plus the encoder
-// memory over ragged sources.
-CleanerHashes TinyCleanerHashes() {
+// A seeded tiny RPT-C, pre-trained briefly (dropout on) under the scalar
+// backend, and the table it was trained on.
+struct TinyCleaner {
+  Table table{Schema({"item", "brand", "country"})};
+  std::unique_ptr<RptCleaner> cleaner;
+};
+
+TinyCleaner BuildTinyCleaner() {
   ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
   const std::vector<std::pair<std::string, std::string>> brands = {
       {"apple", "usa"},  {"sony", "japan"},    {"samsung", "korea"},
       {"dell", "texas"}, {"nokia", "finland"}, {"lenovo", "china"}};
-  Table table{Schema({"item", "brand", "country"})};
+  TinyCleaner tiny;
+  Table& table = tiny.table;
   for (int r = 0; r < 4; ++r) {
     for (const auto& [brand, country] : brands) {
       table.AddRow({Value::String("item" + std::to_string(table.NumRows())),
@@ -1085,9 +1067,19 @@ CleanerHashes TinyCleanerHashes() {
   config.seed = 2024;
   config.learning_rate = 3e-3f;
   config.warmup_steps = 20;
-  RptCleaner cleaner(config, Vocab::Build(counts));
-  cleaner.PretrainOnTables({&table}, 120);
+  tiny.cleaner = std::make_unique<RptCleaner>(config, Vocab::Build(counts));
+  tiny.cleaner->PretrainOnTables({&table}, 120);
+  return tiny;
+}
 
+// The tiny RPT-C queried under the scalar backend: `predictions` hashes
+// PredictBatch's strings and `logits` the raw bits of three batched decode
+// steps plus the encoder memory over ragged sources.
+CleanerHashes TinyCleanerHashes() {
+  const TinyCleaner tiny = BuildTinyCleaner();
+  const Table& table = tiny.table;
+  const RptCleaner& cleaner = *tiny.cleaner;
+  ScopedTensorBackendOverride scalar(TensorBackend::kScalar);
   CleanerHashes hashes;
   std::vector<CellQuery> queries;
   for (int64_t r = 0; r < table.NumRows(); ++r) {
@@ -1136,6 +1128,193 @@ TEST(PinnedOutputTest, ForcedScalarCleanerIsBitwiseStable) {
   const CleanerHashes hashes = TinyCleanerHashes();
   EXPECT_EQ(hashes.predictions, 0x12fa685c29772424ull);
   EXPECT_EQ(hashes.logits, 0x0f3dc89617dcd834ull);
+}
+
+// ---- Sharded greedy generation ---------------------------------------------
+
+// Batch sizes around the shard cuts: below, at and just past multiples of
+// the 4-row shard minimum, and past the CPU cap.
+const int64_t kShardedBatchSizes[] = {1, 3, 4, 7, 8, 31, 32, 33};
+
+// `count` ragged sources of 1..12 tokens, with column and type ids.
+struct RaggedSources {
+  std::vector<std::vector<int32_t>> ids, cols, types;
+  TokenBatch Pack(size_t begin, size_t end) const {
+    const auto slice = [begin, end](const auto& v) {
+      return std::vector<std::vector<int32_t>>(v.begin() + begin,
+                                               v.begin() + end);
+    };
+    const auto c = slice(cols), t = slice(types);
+    return TokenBatch::Pack(slice(ids), 0, &c, &t);
+  }
+};
+
+RaggedSources MakeRaggedSources(size_t count, Rng* rng) {
+  RaggedSources out;
+  for (size_t i = 0; i < count; ++i) {
+    const int len = 1 + static_cast<int>(rng->UniformInt(12));
+    std::vector<int32_t> ids, cols, types;
+    for (int t = 0; t < len; ++t) {
+      ids.push_back(3 + static_cast<int32_t>(rng->UniformInt(17)));
+      cols.push_back(static_cast<int32_t>(rng->UniformInt(6)));
+      types.push_back(static_cast<int32_t>(rng->UniformInt(4)));
+    }
+    out.ids.push_back(std::move(ids));
+    out.cols.push_back(std::move(cols));
+    out.types.push_back(std::move(types));
+  }
+  return out;
+}
+
+TEST(GenerationTest, BatchedGreedyMatchesPerRowGreedy) {
+  // The micro-batch path: decoding many ragged sources together (length
+  // sorted, sharded, with finished-row compaction) must produce exactly
+  // what one-at-a-time decoding produces. Scalar is the bitwise anchor;
+  // avx2 must still pick the same ids.
+  Rng rng(303);
+  Seq2SeqTransformer model(SmallConfig(20), &rng);
+  model.SetTraining(false);
+  const int32_t bos = 1, eos = 2;
+  const RaggedSources sources = MakeRaggedSources(33, &rng);
+  for (TensorBackend backend : AttentionBackends()) {
+    ScopedTensorBackendOverride pin(backend);
+    std::vector<std::vector<int32_t>> singles;
+    for (size_t i = 0; i < sources.ids.size(); ++i) {
+      singles.push_back(
+          model.GenerateGreedy(sources.Pack(i, i + 1), bos, eos, 8, &rng)[0]);
+    }
+    for (int64_t b : kShardedBatchSizes) {
+      const auto batched = model.GenerateGreedy(
+          sources.Pack(0, static_cast<size_t>(b)), bos, eos, 8, &rng);
+      ASSERT_EQ(static_cast<int64_t>(batched.size()), b);
+      for (int64_t i = 0; i < b; ++i) {
+        EXPECT_EQ(batched[static_cast<size_t>(i)],
+                  singles[static_cast<size_t>(i)])
+            << TensorBackendName(backend) << " B=" << b << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(ShardedGenerationTest, PredictBatchMatchesPerQueryCalls) {
+  const TinyCleaner tiny = BuildTinyCleaner();
+  const Table& table = tiny.table;
+  std::vector<CellQuery> queries;
+  for (int64_t r = 0; r < table.NumRows(); ++r) {
+    queries.push_back({table.row(r), 1 + r % 2});
+    queries.push_back({table.row(r), r % 3});
+  }
+  for (TensorBackend backend : AttentionBackends()) {
+    ScopedTensorBackendOverride pin(backend);
+    std::vector<std::string> singles;
+    for (const CellQuery& q : queries) {
+      singles.push_back(tiny.cleaner->PredictBatch(table.schema(), {q})[0]);
+    }
+    for (int64_t b : kShardedBatchSizes) {
+      const std::vector<CellQuery> batch(queries.begin(),
+                                         queries.begin() + b);
+      const auto batched = tiny.cleaner->PredictBatch(table.schema(), batch);
+      ASSERT_EQ(static_cast<int64_t>(batched.size()), b);
+      for (int64_t i = 0; i < b; ++i) {
+        EXPECT_EQ(batched[static_cast<size_t>(i)],
+                  singles[static_cast<size_t>(i)])
+            << TensorBackendName(backend) << " B=" << b << " query " << i;
+      }
+    }
+  }
+}
+
+TEST(ComputePhaseTest, ShardBodiesRunInTheCallersContext) {
+  const int64_t shards = OnlineCpuCount();
+  std::atomic<int> emitted{0};
+  SetStageTimingHook([&emitted](const char*, StageClock::time_point,
+                                StageClock::time_point) { ++emitted; });
+  for (TensorBackend backend : AttentionBackends()) {
+    ScopedTensorBackendOverride pin(backend);
+    ASSERT_TRUE(AutogradEnabled());
+    std::vector<TensorBackend> seen(static_cast<size_t>(shards));
+    std::vector<int> autograd(static_cast<size_t>(shards), -1);
+    std::vector<std::thread::id> threads(static_cast<size_t>(shards));
+    RunComputePhase(shards, [&](int64_t s) {
+      ScopedStageTiming inner("nn.encode");
+      seen[static_cast<size_t>(s)] = ActiveTensorBackend();
+      autograd[static_cast<size_t>(s)] = AutogradEnabled() ? 1 : 0;
+      threads[static_cast<size_t>(s)] = std::this_thread::get_id();
+    });
+    for (int64_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(seen[static_cast<size_t>(s)], backend)
+          << TensorBackendName(backend) << " shard " << s;
+      EXPECT_EQ(autograd[static_cast<size_t>(s)], 0) << "shard " << s;
+      // Shard 0 is the caller's; the others ran on pool workers.
+      EXPECT_EQ(threads[static_cast<size_t>(s)] == std::this_thread::get_id(),
+                s == 0)
+          << "shard " << s;
+    }
+    EXPECT_TRUE(AutogradEnabled());
+    EXPECT_EQ(ActiveTensorBackend(), backend);
+  }
+  SetStageTimingHook(nullptr);
+  EXPECT_EQ(emitted.load(), 0) << "a scope inside a shard body emitted";
+}
+
+TEST(ShardedGenerationTest, StageSpansComeOncePerPhaseFromTheCaller) {
+  Rng rng(404);
+  Seq2SeqTransformer model(SmallConfig(20), &rng);
+  model.SetTraining(false);
+  const int32_t bos = 1, eos = 2;
+  const int64_t max_len = 8;
+  const RaggedSources sources = MakeRaggedSources(32, &rng);
+  struct Span {
+    std::string stage;
+    std::thread::id thread;
+    StageClock::time_point begin, end;
+  };
+  std::mutex mu;
+  std::vector<Span> spans;
+  SetStageTimingHook([&](const char* stage, StageClock::time_point b,
+                         StageClock::time_point e) {
+    std::lock_guard<std::mutex> lock(mu);
+    spans.push_back({stage, std::this_thread::get_id(), b, e});
+  });
+  const auto out =
+      model.GenerateGreedy(sources.Pack(0, 32), bos, eos, max_len, &rng);
+  SetStageTimingHook(nullptr);
+
+  // A row that stops at EOS was decoded one step past its output.
+  int64_t steps = 0;
+  for (const auto& ids : out) {
+    steps = std::max(steps, std::min<int64_t>(ids.size() + 1, max_len));
+  }
+  std::map<std::string, int64_t> counts;
+  for (const Span& span : spans) {
+    ++counts[span.stage];
+    EXPECT_EQ(span.thread, std::this_thread::get_id()) << span.stage;
+  }
+  EXPECT_EQ(counts, (std::map<std::string, int64_t>{
+                        {"nn.decode_step", steps},
+                        {"nn.encode", 1},
+                        {"nn.generate_greedy", 1},
+                        {"nn.prefill", 1}}));
+  const auto outer =
+      std::find_if(spans.begin(), spans.end(), [](const Span& span) {
+        return span.stage == "nn.generate_greedy";
+      });
+  ASSERT_NE(outer, spans.end());
+  std::vector<Span> phases;
+  for (const Span& span : spans) {
+    if (span.stage != "nn.generate_greedy") phases.push_back(span);
+  }
+  std::sort(phases.begin(), phases.end(),
+            [](const Span& a, const Span& b) { return a.begin < b.begin; });
+  ASSERT_FALSE(phases.empty());
+  EXPECT_EQ(phases.front().stage, "nn.encode");
+  for (size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_GE(phases[i].begin, outer->begin) << phases[i].stage;
+    EXPECT_LE(phases[i].end, outer->end) << phases[i].stage;
+    if (i > 0) {
+      EXPECT_LE(phases[i - 1].end, phases[i].begin) << phases[i].stage;
+    }
+  }
 }
 
 // ---- Ops that skip the zero-fill still write every element ---------------

@@ -1,17 +1,24 @@
 // Tests for the util module: status, rng, strings, csv, serialization,
-// thread pool, hashing.
+// thread pool (work split and worker affinity), hashing.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <gtest/gtest.h>
 
+#include "util/affinity.h"
 #include "util/bounded_queue.h"
 #include "util/csv.h"
 #include "util/csv_stream.h"
@@ -476,6 +483,67 @@ TEST(ThreadPoolTest, InstanceParallelForSmallAndEmptyRanges) {
   pool.ParallelFor(3, [&hits](size_t i) { hits[i] = 1; });  // n < threads
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 3);
 }
+
+TEST(ThreadPoolTest, ParallelForTouchesEachIndexExactlyOnce) {
+  for (size_t workers : {1u, 3u, 4u}) {
+    ThreadPool pool(workers);
+    for (size_t n = 1; n <= 9; ++n) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.ParallelFor(n, [&hits](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << " on " << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForGivesEveryParticipantOneItem) {
+  // 4 items on 3 workers plus the caller: each body waits until all 4 have
+  // started, which only happens if they run on 4 distinct threads. The
+  // wait is bounded, so an uneven split fails instead of hanging.
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  std::set<std::thread::id> threads;
+  pool.ParallelFor(4, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    threads.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return arrived == 4; });
+  });
+  EXPECT_EQ(threads.size(), 4u);
+}
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, WorkersIgnoreTheCreatingThreadsPin) {
+  cpu_set_t process;
+  CPU_ZERO(&process);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+  if (CPU_COUNT(&process) < 2) GTEST_SKIP() << "needs two usable CPUs";
+
+  int creator_cpus = 0;
+  cpu_set_t worker;
+  CPU_ZERO(&worker);
+  std::thread creator([&] {
+    if (!PinCurrentThreadToCpu(0)) return;
+    cpu_set_t pinned;
+    CPU_ZERO(&pinned);
+    sched_getaffinity(0, sizeof(pinned), &pinned);
+    creator_cpus = CPU_COUNT(&pinned);
+    ThreadPool pool(1);
+    pool.Submit([&worker] { sched_getaffinity(0, sizeof(worker), &worker); });
+    pool.Wait();
+  });
+  creator.join();
+  ASSERT_EQ(creator_cpus, 1) << "pinning the creating thread failed";
+  EXPECT_TRUE(CPU_EQUAL(&worker, &process))
+      << "worker runs on " << CPU_COUNT(&worker) << " of "
+      << CPU_COUNT(&process) << " CPUs";
+}
+#endif
 
 // ---- BoundedQueue ----------------------------------------------------------------------
 

@@ -1,13 +1,18 @@
 // Tests for the shared-weight replica machinery: WeightStore freeze/map,
 // Module::BindWeights pointer identity across replicas, the memory proxy
 // (distinct allocations, not Nx copies), backend exactness tiers (forced
-// scalar bitwise, int8 within the analytic bound), and the guards that keep
-// the shared blob immutable.
+// scalar bitwise, int8 within the analytic bound), concurrent sharded
+// inference on replicas of one store, and the guards that keep the shared
+// blob immutable.
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +22,12 @@
 #include "nn/layers.h"
 #include "nn/transformer.h"
 #include "nn/weight_store.h"
+#include "rpt/cleaner.h"
+#include "table/table.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
+#include "text/tokenizer.h"
+#include "text/vocab.h"
 #include "util/rng.h"
 
 namespace rpt {
@@ -161,6 +170,69 @@ TEST(WeightStoreTest, BoundReplicaIsBitwiseEqualToSourceUnderScalar) {
   ASSERT_EQ(expected.size(), got.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(expected[i], got[i]) << "diverged at flat index " << i;
+  }
+}
+
+TEST(WeightStoreTest, ConcurrentShardedReplicasMatchSerialOutputs) {
+  // The multi-replica RoutedServer shape: two collectors run sharded
+  // PredictBatch calls at once on two cleaners bound to one store, so both
+  // fork their phases onto the one compute pool.
+  Table table{Schema({"item", "brand", "country"})};
+  std::unordered_map<std::string, int64_t> counts;
+  for (int r = 0; r < 33; ++r) {
+    std::string item = "item" + std::to_string(r);
+    for (int w = 0; w < r % 5; ++w) item += " part" + std::to_string(w);
+    const std::string brand = "brand" + std::to_string(r % 7);
+    const std::string country = "country" + std::to_string(r % 3);
+    table.AddRow({Value::String(item), Value::String(brand),
+                  Value::String(country)});
+    for (const std::string& text : {item, brand, country}) {
+      Tokenizer::CountTokens(text, &counts);
+    }
+  }
+  for (const auto& name : table.schema().names()) {
+    Tokenizer::CountTokens(name, &counts);
+  }
+  CleanerConfig config;
+  config.d_model = 32;
+  config.num_heads = 2;
+  config.num_layers = 1;
+  config.ffn_dim = 64;
+  config.max_seq_len = 48;
+  config.max_target_len = 6;
+  const Vocab vocab = Vocab::Build(counts);
+  RptCleaner source(config, vocab);
+  auto store = WeightStore::Freeze(source.model());
+  std::vector<std::unique_ptr<RptCleaner>> replicas;
+  for (uint64_t seed : {7u, 8u}) {
+    config.seed = seed;  // a different init, overwritten by the binding
+    replicas.push_back(std::make_unique<RptCleaner>(config, vocab));
+    ASSERT_TRUE(replicas.back()->model().BindWeights(store).ok());
+  }
+
+  std::vector<CellQuery> queries;
+  for (int64_t r = 0; r < table.NumRows(); ++r) {
+    queries.push_back({table.row(r), r % 3});
+  }
+  const std::vector<std::string> serial =
+      replicas[0]->PredictBatch(table.schema(), queries);
+  ASSERT_EQ(replicas[1]->PredictBatch(table.schema(), queries), serial);
+  // Distinct answers, so a row landing in the wrong slot would show.
+  EXPECT_GT(std::set<std::string>(serial.begin(), serial.end()).size(), 4u);
+
+  std::vector<std::vector<std::string>> got(replicas.size());
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    threads.emplace_back([&, r] {
+      for (int round = 0; round < 3; ++round) {
+        got[r] = replicas[r]->PredictBatch(table.schema(), queries);
+        if (got[r] != serial) return;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    EXPECT_EQ(got[r], serial) << "replica " << r;
   }
 }
 
