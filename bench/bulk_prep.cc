@@ -136,6 +136,7 @@ std::unique_ptr<RoutedServer> MakeServer(int replicas) {
   ServerConfig config;
   config.max_batch_size = 32;
   config.max_batch_delay = std::chrono::microseconds(200);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.cache_capacity = 4096;
   std::vector<RouteSpec> routes;
   routes.emplace_back("clean", std::move(sessions), config);

@@ -224,6 +224,7 @@ int main(int argc, char** argv) {
   ServerConfig config;
   config.max_batch_size = 16;
   config.max_batch_delay = microseconds(1000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 4096;
   config.cache_capacity = 0;  // unique payloads anyway; measure the model path
   RoutedServer routed({{"clean", std::move(replicas), config}});

@@ -17,10 +17,10 @@
 // single-session serving, and a mixed cleaner+matcher+extractor workload
 // exercises one front-end over three routes. An adaptive-batching section
 // replays the same open-loop arrival patterns (lone requests, partial
-// bursts, full saturation) under the fixed and adaptive straggler-window
-// policies: adaptive should cut low-rate latency sharply (no waiting for
-// company that never comes) while matching fixed throughput at saturation,
-// with outputs bit-identical throughout. A final section serves a real
+// bursts, full saturation) with a fixed (min == max) straggler window and
+// under the default adaptive law: adaptive should cut low-rate latency
+// sharply (no waiting for company that never comes) while matching fixed
+// throughput at saturation, with outputs bit-identical throughout. A final section serves a real
 // (tiny) RPT-C cleaner to show the end-to-end path.
 //
 // `--smoke` (or `--quick`) runs a small correctness-only subset
@@ -66,7 +66,6 @@
 
 namespace {
 
-using rpt::BatchPolicy;
 using rpt::CleanerSession;
 using rpt::InferenceServer;
 using rpt::ModelSession;
@@ -177,6 +176,7 @@ double RunServed(const std::vector<std::string>& inputs, size_t max_batch,
   ServerConfig config;
   config.max_batch_size = max_batch;
   config.max_batch_delay = microseconds(1000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 1024;
   config.cache_capacity = cache_capacity;
   InferenceServer server(session, config);
@@ -236,6 +236,7 @@ double RunRouted(const std::vector<std::string>& inputs, size_t num_shards,
   ServerConfig config;
   config.max_batch_size = 16;
   config.max_batch_delay = microseconds(1000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 1024;
   config.cache_capacity = 0;  // every request must cross a model
   RoutedServer server({{"synthetic", replicas, config}});
@@ -365,6 +366,7 @@ void MixedRoutedWorkload(bool smoke) {
     }
     spec.config.max_batch_size = 16;
     spec.config.max_batch_delay = microseconds(1000);
+    spec.config.min_batch_delay = spec.config.max_batch_delay;  // fixed window
     spec.config.queue_capacity = 1024;
     spec.config.cache_capacity = 256;
     routes.push_back(std::move(spec));
@@ -430,11 +432,12 @@ struct AdaptiveOutcome {
 };
 
 /// Serves `bursts` (groups of payloads submitted back to back, `gap` apart)
-/// through one device-bound shard under the given straggler-window policy.
-/// The arrival pattern is open-loop, so both policies face the same offered
+/// through one device-bound shard, either with a fixed straggler window
+/// (min_batch_delay == max_batch_delay) or under the default adaptive law.
+/// The arrival pattern is open-loop, so both configs face the same offered
 /// load and differ only in how long their collector waits for company.
 AdaptiveOutcome RunAdaptivePolicy(
-    BatchPolicy policy, const std::vector<std::vector<std::string>>& bursts,
+    bool fixed_window, const std::vector<std::vector<std::string>>& bursts,
     microseconds gap) {
   auto session = std::make_shared<SyntheticSession>(
       microseconds(200), microseconds(20), SyntheticWait::kSleep);
@@ -443,8 +446,8 @@ AdaptiveOutcome RunAdaptivePolicy(
   config.max_batch_delay = microseconds(2000);
   config.queue_capacity = 4096;
   config.cache_capacity = 0;  // every request crosses the model
-  config.batch_policy = policy;
-  config.min_batch_delay = microseconds(100);
+  config.min_batch_delay =
+      fixed_window ? config.max_batch_delay : microseconds(100);
   config.target_queue_wait_ms = 5.0;
   InferenceServer server(session, config);
 
@@ -484,10 +487,10 @@ AdaptiveOutcome RunAdaptivePolicy(
 void AdaptiveBatching(bool smoke) {
   rpt::PrintBanner("adaptive micro-batching: fixed vs adaptive window");
   std::printf(
-      "fixed policy always waits max_batch_delay (2000us) for stragglers; "
-      "adaptive\nretunes the window per batch from the decayed arrival rate "
-      "(bounds 100..2000us,\nqueue-wait budget 5ms). Same device-bound "
-      "session, same open-loop arrivals.\n\n");
+      "fixed (min_batch_delay == max_batch_delay) always waits 2000us for "
+      "stragglers;\nthe default adaptive law retunes the window per batch from "
+      "the decayed arrival\nrate (bounds 100..2000us, queue-wait budget 5ms). "
+      "Same device-bound session,\nsame open-loop arrivals.\n\n");
 
   struct Regime {
     const char* name;
@@ -533,9 +536,9 @@ void AdaptiveBatching(bool smoke) {
   double sat_fixed_rps = 0, sat_adaptive_rps = 0;
   for (const Regime& regime : regimes) {
     const AdaptiveOutcome fixed =
-        RunAdaptivePolicy(BatchPolicy::kFixed, regime.bursts, regime.gap);
+        RunAdaptivePolicy(/*fixed_window=*/true, regime.bursts, regime.gap);
     const AdaptiveOutcome adaptive =
-        RunAdaptivePolicy(BatchPolicy::kAdaptive, regime.bursts, regime.gap);
+        RunAdaptivePolicy(/*fixed_window=*/false, regime.bursts, regime.gap);
     table.AddRow({regime.name, "fixed", rpt::Fixed(fixed.mean_ms, 2),
                   rpt::Fixed(fixed.p95_ms, 2), rpt::Fixed(fixed.rps, 0),
                   rpt::Fixed(fixed.mean_batch, 2), "0"});
@@ -730,6 +733,7 @@ void WeightSharing(bool smoke) {
     }
     spec.config.max_batch_size = 8;
     spec.config.max_batch_delay = microseconds(1000);
+    spec.config.min_batch_delay = spec.config.max_batch_delay;  // fixed window
     spec.config.cache_capacity = 0;
     spec.replica_backends.assign(kReplicas,
                                  rpt::ComputeBackend::kCpuScalar);
@@ -985,6 +989,7 @@ void SemanticDedup(bool smoke) {
   ServerConfig strict;
   strict.max_batch_size = 16;
   strict.max_batch_delay = microseconds(1000);
+  strict.min_batch_delay = strict.max_batch_delay;  // fixed window
   strict.queue_capacity = 1024;
   strict.cache_capacity = 512;
   strict.exactness = rpt::Exactness::kStrict;
@@ -1089,6 +1094,7 @@ void ServeRealCleaner() {
   ServerConfig server_config;
   server_config.max_batch_size = 8;
   server_config.max_batch_delay = microseconds(2000);
+  server_config.min_batch_delay = server_config.max_batch_delay;
   InferenceServer server(session, server_config);
 
   constexpr int kCleanerRequests = 32;

@@ -204,6 +204,7 @@ int main(int argc, char** argv) {
   ServerConfig config;
   config.max_batch_size = 32;
   config.max_batch_delay = std::chrono::microseconds(500);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   std::vector<RouteSpec> routes;
   routes.emplace_back("clean", std::move(sessions), config);
   RoutedServer server(std::move(routes));

@@ -79,6 +79,7 @@ std::vector<RouteSpec> SyntheticRoutes() {
   ServerConfig config;
   config.max_batch_size = 16;
   config.max_batch_delay = std::chrono::microseconds(1000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.cache_capacity = 256;
   std::vector<RouteSpec> routes;
   for (const char* name : {"clean", "match", "extract"}) {
@@ -135,6 +136,7 @@ std::vector<RouteSpec> ModelRoutes() {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = std::chrono::microseconds(2000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.cache_capacity = 64;
   std::vector<RouteSpec> routes;
   routes.push_back(

@@ -77,6 +77,7 @@ int main() {
   ServerConfig server_config;
   server_config.max_batch_size = 8;
   server_config.max_batch_delay = std::chrono::microseconds(2000);
+  server_config.min_batch_delay = server_config.max_batch_delay;
   server_config.cache_capacity = 64;
   InferenceServer server(session, server_config);
 

@@ -107,12 +107,13 @@ std::chrono::microseconds AdaptiveBatchController::DecideDelay(
   // Budget clamp: the first request of the batch waits the whole window,
   // so the window itself must fit the queue-wait budget; and when the
   // observed high wait overshoots anyway (backlog the feedforward term
-  // cannot see), shrink proportionally.
+  // cannot see), shrink proportionally. `min_delay` is a hard floor applied
+  // last, so `min_delay == max_delay` is an exact fixed window at any size.
   delay_us = std::min(delay_us, budget_us);
   if (high_wait_ms_ > config_.target_queue_wait_ms && high_wait_ms_ > 0) {
-    delay_us = std::max(
-        min_us, delay_us * config_.target_queue_wait_ms / high_wait_ms_);
+    delay_us *= config_.target_queue_wait_ms / high_wait_ms_;
   }
+  delay_us = std::max(delay_us, min_us);
   const int64_t decided = static_cast<int64_t>(delay_us);
   if (decided != effective_delay_us_.load(std::memory_order_relaxed)) {
     adjustments_.fetch_add(1, std::memory_order_relaxed);

@@ -1,7 +1,8 @@
-// Adaptive micro-batching: a per-shard controller that retunes the
-// collector's effective straggler window (`max_batch_delay`) online from
-// the observed arrival process, instead of taxing every regime with one
-// fixed config value.
+// Adaptive micro-batching: the per-shard controller that decides every
+// collector's straggler window online from the observed arrival process,
+// instead of taxing every regime with one fixed config value. It is the
+// collector's only batching law; a fixed window is the configuration
+// `min_delay == max_delay`.
 //
 // Why adapt at all: a fixed delay is wrong at both ends of the load curve.
 // At low load nobody else is coming, so the first request of every batch
@@ -26,6 +27,10 @@
 //     if recent high queue wait > budget:              (feedback: backlog
 //         delay *= budget / recent_high_wait            the feedforward
 //                                                       term cannot see)
+//     delay        = max(delay, min_delay)             (hard floor, last:
+//                                                       min == max is an
+//                                                       exact fixed window,
+//                                                       even above budget)
 //
 // So: low rate converges to min_delay, saturation runs full batches at
 // min_delay, and the mid-band picks the window that just fills a batch —
@@ -95,8 +100,8 @@ class ArrivalRateEstimator {
 struct AdaptiveConfig {
   size_t max_batch_size = 8;
   /// Effective-delay bounds: the controller never waits less than
-  /// `min_delay` (lets a same-instant burst coalesce) nor more than
-  /// `max_delay` (the fixed policy's straggler window).
+  /// `min_delay` (lets a same-instant burst coalesce; a hard floor that
+  /// wins over the budget) nor more than `max_delay`.
   std::chrono::microseconds min_delay{100};
   std::chrono::microseconds max_delay{2000};
   /// Queue-wait budget: the chosen delay never exceeds it, and observed
@@ -123,7 +128,8 @@ class AdaptiveBatchController {
   /// (the p95-proxy signal the budget clamp reacts to) and its row count.
   void OnBatchComplete(double max_queue_wait_ms, size_t rows);
 
-  /// Last decision (starts at max_delay, the fixed policy's behavior).
+  /// Last decision (starts at max_delay, so a `min == max` window never
+  /// counts an adjustment).
   std::chrono::microseconds effective_delay() const {
     return std::chrono::microseconds(
         effective_delay_us_.load(std::memory_order_relaxed));

@@ -2,12 +2,14 @@
 //
 // Many client threads Submit() opaque request payloads; a collector thread
 // drains the bounded request queue into micro-batches — up to
-// `max_batch_size` requests, waiting at most `max_batch_delay` for
-// stragglers — and executes each batch with a single ModelSession forward
-// pass, completing per-request futures. This is the classic
-// throughput/latency trade of transformer serving (cf. cuBERT's
-// max_batch_size sessions): batching amortizes the per-pass cost, the delay
-// bound caps the latency a lone request can pay for company.
+// `max_batch_size` requests — and executes each batch with a single
+// ModelSession forward pass, completing per-request futures. This is the
+// classic throughput/latency trade of transformer serving (cf. cuBERT's
+// max_batch_size sessions): batching amortizes the per-pass cost. How long
+// a batch waits for stragglers is decided per batch from the observed
+// arrival rate (serve/adaptive.h): a lone request at low load waits only
+// `min_batch_delay`, no batch waits past `max_batch_delay`, and
+// `min_batch_delay == max_batch_delay` is a fixed window.
 //
 // The queue/collector/cache/stats machinery lives in ServeShard
 // (serve/shard.h); InferenceServer is exactly one shard behind the original

@@ -35,6 +35,17 @@ void RecordSpan(const char* name, uint64_t trace_id, uint64_t span_id,
                               obs::CurrentThreadId(), link_trace, link_span});
 }
 
+AdaptiveConfig ControllerConfig(const ServerConfig& config) {
+  RPT_CHECK(config.min_batch_delay <= config.max_batch_delay)
+      << "min_batch_delay must not exceed max_batch_delay";
+  AdaptiveConfig adaptive;
+  adaptive.max_batch_size = config.max_batch_size;
+  adaptive.min_delay = config.min_batch_delay;
+  adaptive.max_delay = config.max_batch_delay;
+  adaptive.target_queue_wait_ms = config.target_queue_wait_ms;
+  return adaptive;
+}
+
 }  // namespace
 
 // Metrics-registry handles for one shard, resolved once at construction so
@@ -112,7 +123,7 @@ struct ServeShard::Obs {
     effective_delay_us = reg.GetGauge(
         "rpt_serve_effective_delay_us", label,
         "Straggler window the collector is currently applying, in "
-        "microseconds (max_batch_delay under the fixed policy)");
+        "microseconds");
     adapt_adjust =
         reg.GetCounter("rpt_serve_adapt_adjust_total", label,
                        "Adaptive-batching decisions that changed the "
@@ -248,6 +259,7 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
       clock_(config_.clock != nullptr ? config_.clock.get() : SystemClock()),
       queue_(config_.queue_capacity),
       cache_(config_.cache_capacity),
+      controller_(ControllerConfig(config_), clock_, &arrivals_),
       // Reservoir sampling seeded from the shard name: bounded memory with
       // run-reproducible sampling decisions.
       latencies_ms_(LatencyReservoir::kDefaultCapacity,
@@ -261,17 +273,6 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
                                       : config_.cache_capacity;
     RPT_CHECK_GE(config_.neardup_max_hamming, 0);
     neardup_index_ = std::make_unique<SimHashIndex>(index_capacity);
-  }
-  if (config_.batch_policy == BatchPolicy::kAdaptive) {
-    AdaptiveConfig adaptive;
-    adaptive.max_batch_size = config_.max_batch_size;
-    adaptive.min_delay = config_.min_batch_delay;
-    adaptive.max_delay = config_.max_batch_delay;
-    adaptive.target_queue_wait_ms = config_.target_queue_wait_ms;
-    RPT_CHECK(adaptive.min_delay <= adaptive.max_delay)
-        << "min_batch_delay must not exceed max_batch_delay";
-    controller_ = std::make_unique<AdaptiveBatchController>(adaptive, clock_,
-                                                            &arrivals_);
   }
   obs_->effective_delay_us->Set(
       static_cast<double>(config_.max_batch_delay.count()));
@@ -486,29 +487,22 @@ void ServeShard::CollectorLoop() {
   uint64_t adjustments_seen = 0;
   for (;;) {
     batch.clear();
-    bool alive;
-    if (controller_ != nullptr) {
-      // The window is decided once the first request of the batch is in
-      // hand (not before blocking), so the decision sees the arrival rate
-      // and queue depth of the batch actually forming. The callback runs
-      // under the queue lock and touches only the controller + atomics.
-      alive = queue_.PopBatchWith(
-          &batch, config_.max_batch_size, [&](size_t pending) {
-            const std::chrono::microseconds delay =
-                controller_->DecideDelay(pending);
-            obs_->effective_delay_us->Set(
-                static_cast<double>(delay.count()));
-            const uint64_t adjustments = controller_->adjustments();
-            if (adjustments != adjustments_seen) {
-              obs_->adapt_adjust->Increment(adjustments - adjustments_seen);
-              adjustments_seen = adjustments;
-            }
-            return delay;
-          });
-    } else {
-      alive = queue_.PopBatch(&batch, config_.max_batch_size,
-                              config_.max_batch_delay);
-    }
+    // The window is decided once the first request of the batch is in hand
+    // (not before blocking), so the decision sees the arrival rate and
+    // queue depth of the batch actually forming. The callback runs under
+    // the queue lock and touches only the controller + atomics.
+    const bool alive = queue_.PopBatchWith(
+        &batch, config_.max_batch_size, [&](size_t pending) {
+          const std::chrono::microseconds delay =
+              controller_.DecideDelay(pending);
+          obs_->effective_delay_us->Set(static_cast<double>(delay.count()));
+          const uint64_t adjustments = controller_.adjustments();
+          if (adjustments != adjustments_seen) {
+            obs_->adapt_adjust->Increment(adjustments - adjustments_seen);
+            adjustments_seen = adjustments;
+          }
+          return delay;
+        });
     if (!alive) {
       return;  // closed and drained
     }
@@ -577,11 +571,9 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
     }
     live.push_back(&p);
   }
-  if (controller_ != nullptr) {
-    // Close the loop: the observed high queue wait is the signal the
-    // budget clamp reacts to on the next decision.
-    controller_->OnBatchComplete(max_queue_wait_ms, live.size());
-  }
+  // Close the loop: the observed high queue wait is the signal the budget
+  // clamp reacts to on the next decision.
+  controller_.OnBatchComplete(max_queue_wait_ms, live.size());
 
   if (!live.empty()) {
     // Within-batch coalescing: payloads with one dedup key ride one model
@@ -789,8 +781,7 @@ ServerStatsSnapshot ServeShard::Stats() const {
     s.cache_hit_rate =
         static_cast<double>(s.cache_hits) / static_cast<double>(lookups);
   }
-  s.adapt_adjustments =
-      controller_ != nullptr ? controller_->adjustments() : 0;
+  s.adapt_adjustments = controller_.adjustments();
   std::vector<double> lats;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -822,11 +813,6 @@ ServerStatsSnapshot ServeShard::Stats() const {
 std::vector<double> ServeShard::RawLatencies() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return latencies_ms_.samples();
-}
-
-std::chrono::microseconds ServeShard::effective_batch_delay() const {
-  return controller_ != nullptr ? controller_->effective_delay()
-                                : config_.max_batch_delay;
 }
 
 }  // namespace rpt

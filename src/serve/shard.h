@@ -7,21 +7,22 @@
 // the original single-session API, and RoutedServer (serve/routed_server.h)
 // fans requests out over named pools of shards.
 //
-// Scheduling semantics (unchanged from the original InferenceServer):
-// micro-batches gather up to `max_batch_size` requests, waiting at most
-// `max_batch_delay` for stragglers; a full queue rejects at Submit with
-// kUnavailable; a request whose deadline passes while queued completes with
-// kDeadlineExceeded; payloads the session's Validate rejects complete with
-// that status; Shutdown() stops intake, drains everything accepted, and
-// joins the collector.
+// Scheduling semantics: micro-batches gather up to `max_batch_size`
+// requests; a full queue rejects at Submit with kUnavailable; a request
+// whose deadline passes while queued completes with kDeadlineExceeded;
+// payloads the session's Validate rejects complete with that status;
+// Shutdown() stops intake, drains everything accepted, and joins the
+// collector.
 //
-// With `batch_policy = kAdaptive` the straggler window is no longer the
-// fixed `max_batch_delay`: an AdaptiveBatchController (serve/adaptive.h)
-// re-decides the effective delay for every batch on the collector thread,
-// from the decayed EWMA arrival rate and the recent observed queue wait,
-// bounded by [min_batch_delay, max_batch_delay] and the
-// `target_queue_wait_ms` budget. Outputs are unaffected — the policy only
-// moves *when* a batch closes, never what the model computes.
+// How long a batch waits for stragglers is decided per batch by the
+// shard's AdaptiveBatchController (serve/adaptive.h), on the collector
+// thread, once the batch's first request is in hand: from the decayed EWMA
+// arrival rate and the recent observed queue wait, within
+// [min_batch_delay, max_batch_delay] and the `target_queue_wait_ms` budget.
+// A lone request at low load waits only `min_batch_delay`; a full batch
+// closes at once. `min_batch_delay == max_batch_delay` is an exact fixed
+// window of that length. Outputs are unaffected — the window only moves
+// *when* a batch closes, never what the model computes.
 //
 // Accounting rules the counters obey:
 //  * a cache miss is counted only once the request is actually enqueued —
@@ -113,22 +114,11 @@ enum class Exactness {
   kNearDup,
 };
 
-/// How the collector sizes each micro-batch's straggler window.
-enum class BatchPolicy {
-  /// Always wait up to `max_batch_delay` — the original behavior, and the
-  /// default.
-  kFixed,
-  /// Retune the effective delay per batch from the observed arrival rate
-  /// and queue wait (serve/adaptive.h), within
-  /// [min_batch_delay, max_batch_delay] and the queue-wait budget.
-  kAdaptive,
-};
-
 struct ServerConfig {
   /// Largest micro-batch handed to the session in one forward pass.
   size_t max_batch_size = 8;
-  /// How long the collector waits for stragglers after the first request
-  /// of a batch arrives (kFixed: always; kAdaptive: upper bound).
+  /// Upper bound of the straggler window the collector holds a batch open
+  /// for after its first request arrives.
   std::chrono::microseconds max_batch_delay{2000};
   /// Pending-request bound; Submit rejects with kUnavailable beyond it.
   size_t queue_capacity = 256;
@@ -137,14 +127,12 @@ struct ServerConfig {
   /// Value of the `server` label on this shard's metrics registry series
   /// (obs/metrics.h). RoutedServer names its shards "<route>#<index>".
   std::string name = "serve";
-  /// Straggler-window policy. kFixed preserves pre-adaptive scheduling
-  /// byte for byte.
-  BatchPolicy batch_policy = BatchPolicy::kFixed;
-  /// kAdaptive only: lower bound of the effective delay (still lets a
-  /// same-instant burst coalesce into one pass).
+  /// Lower bound of the straggler window (still lets a same-instant burst
+  /// coalesce into one pass); a hard floor. Set it equal to
+  /// `max_batch_delay` for a fixed window.
   std::chrono::microseconds min_batch_delay{100};
-  /// kAdaptive only: queue-wait budget in milliseconds; the controller
-  /// keeps the p95-ish observed wait inside it.
+  /// Queue-wait budget in milliseconds; the controller keeps the p95-ish
+  /// observed wait inside it (never below `min_batch_delay`).
   double target_queue_wait_ms = 5.0;
   /// Time source for batching decisions; null means SystemClock().
   /// Tests inject a fake Clock (serve/adaptive.h) to drive the controller
@@ -207,7 +195,8 @@ struct ServerStatsSnapshot {
                                     // already queued or running
   uint64_t neardup_hits = 0;  // misses served from a SimHash near-duplicate
   uint64_t batches = 0;       // forward passes executed
-  uint64_t adapt_adjustments = 0;  // adaptive-delay changes (0 under kFixed)
+  uint64_t adapt_adjustments = 0;  // straggler-window changes (0 when
+                                   // min_batch_delay == max_batch_delay)
   size_t queue_depth = 0;  // at snapshot time
   double mean_batch_size = 0;  // forward-pass rows / forward passes
   /// forward-pass rows -> number of passes with exactly that many rows.
@@ -282,9 +271,11 @@ class ServeShard {
   /// lived), for cross-shard percentile aggregation.
   std::vector<double> RawLatencies() const;
 
-  /// The adaptive controller's current straggler window; `max_batch_delay`
-  /// under kFixed.
-  std::chrono::microseconds effective_batch_delay() const;
+  /// The controller's current straggler window (`max_batch_delay` until
+  /// the first batch is decided).
+  std::chrono::microseconds effective_batch_delay() const {
+    return controller_.effective_delay();
+  }
 
   /// Requests currently queued (excludes the batch in flight). The routed
   /// front-end reads this for saturation/least-loaded decisions.
@@ -363,9 +354,9 @@ class ServeShard {
   std::mutex neardup_mu_;
   std::unique_ptr<SimHashIndex> neardup_index_;
   // Arrival estimator feeds the rpt_serve_arrival_rate_rps gauge (decayed
-  // on read) and, under kAdaptive, the controller's delay decisions.
+  // on read) and the controller's delay decisions.
   ArrivalRateEstimator arrivals_;
-  std::unique_ptr<AdaptiveBatchController> controller_;  // kAdaptive only
+  AdaptiveBatchController controller_;
   std::thread collector_;
   std::atomic<bool> accepting_{true};
   std::once_flag shutdown_once_;

@@ -6,8 +6,8 @@
 // Activations stay fp32 and accumulation is fp32, so the only error source
 // is the weight rounding.
 //
-// Exactness-vs-tolerance contract (mirrors the serve layer's kFixed /
-// kAdaptive precedent — an explicit knob, not a silent approximation):
+// Exactness-vs-tolerance contract (an explicit knob, not a silent
+// approximation):
 //   * fp32 GEMM (scalar dispatch)  — bit-exact reference.
 //   * fp32 GEMM (AVX2 dispatch)    — reassociation-level error, <= ~1e-4.
 //   * int8 weight-quantized GEMM   — bounded by the rounding half-step:

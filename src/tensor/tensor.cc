@@ -115,7 +115,10 @@ Tensor MakeOpResult(std::vector<int64_t> shape,
   return Tensor(impl);
 }
 
-// Attaches the backward closure when the result tracks gradients.
+// Attaches the backward closure when the result tracks gradients. The
+// result's impl owns the closure, so closures capture that impl by raw
+// pointer (`oi = oi.get()`): a shared_ptr would be a self-cycle that keeps
+// every graph which never runs Backward() alive forever.
 void AttachBackward(const Tensor& result, std::function<void()> fn) {
   if (result.impl()->requires_grad && !result.impl()->parents.empty()) {
     result.impl()->backward_fn = std::move(fn);
@@ -414,7 +417,7 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, BinaryOp op) {
                     [](float x, float y) { return x * y; });
       break;
   }
-  AttachBackward(out, [oi, ai, bi, op, kind, n, bn]() {
+  AttachBackward(out, [oi = oi.get(), ai, bi, op, kind, n, bn]() {
     const float* g = oi->grad.data();
     if (ai->requires_grad) {
       ai->EnsureGrad();
@@ -474,7 +477,7 @@ Tensor Scale(const Tensor& a, float scalar) {
   const float* ad = ai->data;
   float* od = oi->data;
   for (int64_t i = 0; i < n; ++i) od[i] = ad[i] * scalar;
-  AttachBackward(out, [oi, ai, scalar, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, scalar, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* g = oi->grad.data();
@@ -492,7 +495,7 @@ Tensor AddScalar(const Tensor& a, float scalar) {
   const float* ad = ai->data;
   float* od = oi->data;
   for (int64_t i = 0; i < n; ++i) od[i] = ad[i] + scalar;
-  AttachBackward(out, [oi, ai, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* g = oi->grad.data();
@@ -526,7 +529,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     auto oi = out.impl();
     GemmNN(ai->data, bi->data, oi->data, rows, k,
            n_cols);
-    AttachBackward(out, [oi, ai, bi, rows, k, n_cols]() {
+    AttachBackward(out, [oi = oi.get(), ai, bi, rows, k, n_cols]() {
       const float* g = oi->grad.data();
       if (ai->requires_grad) {
         ai->EnsureGrad();
@@ -562,8 +565,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     GemmNN(ai->data + s * a_stride, bi->data + s * b_stride,
            oi->data + s * o_stride, m_rows, k, n_cols);
   }
-  AttachBackward(out, [oi, ai, bi, batch, m_rows, k, n_cols, a_stride,
-                       b_stride, o_stride]() {
+  AttachBackward(out, [oi = oi.get(), ai, bi, batch, m_rows, k, n_cols,
+                       a_stride, b_stride, o_stride]() {
     const float* g = oi->grad.data();
     if (ai->requires_grad) {
       ai->EnsureGrad();
@@ -611,8 +614,8 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
     GemmNT(ai->data + s * a_stride, bi->data + s * b_stride,
            oi->data + s * o_stride, m_rows, k, n_rows);
   }
-  AttachBackward(out, [oi, ai, bi, batch, m_rows, k, n_rows, a_stride,
-                       b_stride, o_stride]() {
+  AttachBackward(out, [oi = oi.get(), ai, bi, batch, m_rows, k, n_rows,
+                       a_stride, b_stride, o_stride]() {
     const float* g = oi->grad.data();
     if (ai->requires_grad) {
       ai->EnsureGrad();
@@ -700,7 +703,7 @@ Tensor UnaryOp(const Tensor& a, const std::function<float(float)>& fwd,
     oi->data[static_cast<size_t>(i)] =
         fwd(ai->data[static_cast<size_t>(i)]);
   }
-  AttachBackward(out, [oi, ai, dydx_from_x_y, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, dydx_from_x_y, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* g = oi->grad.data();
@@ -761,7 +764,7 @@ Tensor Softmax(const Tensor& a) {
   const int64_t cols = a.dim(-1);
   const int64_t rows = a.numel() / cols;
   SoftmaxRows(ai->data, oi->data, rows, cols);
-  AttachBackward(out, [oi, ai, rows, cols]() {
+  AttachBackward(out, [oi = oi.get(), ai, rows, cols]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     for (int64_t r = 0; r < rows; ++r) {
@@ -812,7 +815,7 @@ Tensor MaskedSoftmax(Tensor scores, const Tensor& bias, float scale) {
     SoftmaxRows(y, y, 1, cols);
   }
   if (tracked) {
-    AttachBackward(out, [oi, si, bi, scale, rows, cols]() {
+    AttachBackward(out, [oi = oi.get(), si, bi, scale, rows, cols]() {
       const bool need_x = si->requires_grad;
       const bool need_bias = bi != nullptr && bi->requires_grad;
       if (need_x) si->EnsureGrad();
@@ -842,7 +845,7 @@ Tensor LogSoftmax(const Tensor& a) {
   const int64_t cols = a.dim(-1);
   const int64_t rows = a.numel() / cols;
   LogSoftmaxRows(ai->data, oi->data, rows, cols);
-  AttachBackward(out, [oi, ai, rows, cols]() {
+  AttachBackward(out, [oi = oi.get(), ai, rows, cols]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     for (int64_t r = 0; r < rows; ++r) {
@@ -875,7 +878,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
       static_cast<size_t>(rows) * 2);
   LayerNormRows(xi->data, gi->data, bi->data,
                 oi->data, stats->data(), rows, cols, eps);
-  AttachBackward(out, [oi, xi, gi, bi, stats, rows, cols]() {
+  AttachBackward(out, [oi = oi.get(), xi, gi, bi, stats, rows, cols]() {
     const float* g = oi->grad.data();
     if (gi->requires_grad) gi->EnsureGrad();
     if (bi->requires_grad) bi->EnsureGrad();
@@ -936,7 +939,7 @@ Tensor Reshape(Tensor a, std::vector<int64_t> shape) {
   auto oi = out.impl();
   std::memcpy(oi->data, ai->data, oi->size * sizeof(float));
   const int64_t n = a.numel();
-  AttachBackward(out, [oi, ai, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* g = oi->grad.data();
@@ -1000,7 +1003,7 @@ Tensor Transpose(const Tensor& a, int64_t axis0, int64_t axis1) {
     }
   };
   permute(ai->data, oi->data, /*backward=*/false);
-  AttachBackward(out, [oi, ai, permute]() {
+  AttachBackward(out, [oi = oi.get(), ai, permute]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     permute(oi->grad.data(), ai->grad.data(), /*backward=*/true);
@@ -1037,7 +1040,8 @@ Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end) {
     float* dst = oi->data + o * len * inner;
     std::memcpy(dst, src, static_cast<size_t>(len * inner) * sizeof(float));
   }
-  AttachBackward(out, [oi, ai, outer, inner, dim_size, start, len]() {
+  AttachBackward(out, [oi = oi.get(), ai, outer, inner, dim_size, start,
+                       len]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     for (int64_t o = 0; o < outer; ++o) {
@@ -1098,7 +1102,8 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
     }
     offset += len;
   }
-  AttachBackward(out, [oi, parents, part_lens, outer, inner, cat_dim]() {
+  AttachBackward(out, [oi = oi.get(), parents, part_lens, outer, inner,
+                       cat_dim]() {
     int64_t offset = 0;
     for (size_t pi = 0; pi < parents.size(); ++pi) {
       const int64_t len = part_lens[pi];
@@ -1139,7 +1144,7 @@ Tensor EmbeddingLookup(const Tensor& weight,
                 static_cast<size_t>(dim) * sizeof(float));
   }
   auto ids_copy = std::make_shared<std::vector<int32_t>>(ids);
-  AttachBackward(out, [oi, wi, ids_copy, dim]() {
+  AttachBackward(out, [oi = oi.get(), wi, ids_copy, dim]() {
     if (!wi->requires_grad) return;
     wi->EnsureGrad();
     for (size_t i = 0; i < ids_copy->size(); ++i) {
@@ -1164,7 +1169,7 @@ Tensor Sum(const Tensor& a) {
     acc += ai->data[static_cast<size_t>(i)];
   }
   oi->data[0] = static_cast<float>(acc);
-  AttachBackward(out, [oi, ai, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float g = oi->grad[0];
@@ -1228,7 +1233,7 @@ Tensor CrossEntropyLoss(const Tensor& logits,
   oi->data[0] = static_cast<float>(loss / active);
 
   auto targets_copy = std::make_shared<std::vector<int32_t>>(targets);
-  AttachBackward(out, [oi, li, logp, targets_copy, n, v, active,
+  AttachBackward(out, [oi = oi.get(), li, logp, targets_copy, n, v, active,
                        ignore_index, on_weight, off_weight,
                        label_smoothing]() {
     if (!li->requires_grad) return;
@@ -1268,7 +1273,7 @@ Tensor Dropout(const Tensor& a, float p, bool training, Rng* rng) {
     oi->data[static_cast<size_t>(i)] =
         ai->data[static_cast<size_t>(i)] * m;
   }
-  AttachBackward(out, [oi, ai, mask, n]() {
+  AttachBackward(out, [oi = oi.get(), ai, mask, n]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
     const float* g = oi->grad.data();

@@ -122,26 +122,4 @@ void ThreadPool::ParallelFor(size_t n,
   done_cv.wait(lock, [&remaining] { return remaining.load() == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t n, size_t num_threads,
-                             const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  num_threads = std::max<size_t>(1, std::min(num_threads, n));
-  if (num_threads == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  const size_t chunk = (n + num_threads - 1) / num_threads;
-  for (size_t t = 0; t < num_threads; ++t) {
-    const size_t begin = t * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    threads.emplace_back([begin, end, &body] {
-      for (size_t i = begin; i < end; ++i) body(i);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
 }  // namespace rpt

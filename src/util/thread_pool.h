@@ -44,12 +44,6 @@ class ThreadPool {
   /// could deadlock on a saturated pool).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// Static shim: runs body(i) for i in [0, n) on up to `num_threads`
-  /// freshly spawned threads. Prefer the instance method on a hot path —
-  /// this exists for one-shot callers without a pool at hand.
-  static void ParallelFor(size_t n, size_t num_threads,
-                          const std::function<void(size_t)>& body);
-
  private:
   void WorkerLoop();
 

@@ -1,9 +1,11 @@
-// Tests for the adaptive micro-batching controller (serve/adaptive.h):
-// the decayed arrival-rate estimator, the delay control law on a fake
-// clock (low rate -> min delay, saturation -> min delay + full batches,
-// mid-band -> fill-time window, budget clamps), and the ServeShard
-// integration (fixed-vs-adaptive bit-identity, kFixed default behavior,
-// bounded latency reservoir, shutdown-race accounting).
+// Tests for the adaptive micro-batching controller (serve/adaptive.h), the
+// collector's one batching law: the decayed arrival-rate estimator, the
+// delay control law on a fake clock (low rate -> min delay, saturation ->
+// min delay + full batches, mid-band -> fill-time window, budget clamps,
+// min == max as an exact fixed window), and the ServeShard integration
+// (the default closes a lone request at min_batch_delay, fixed-window
+// batch boundaries, adaptive-vs-fixed bit-identity, bounded latency
+// reservoir, shutdown-race accounting).
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "serve/reservoir.h"
 #include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 
 namespace rpt {
 namespace {
@@ -197,6 +200,34 @@ TEST(AdaptiveControllerTest, ObservedOverBudgetWaitShrinksTheWindow) {
   EXPECT_EQ(controller.DecideDelay(/*pending=*/4), before);
 }
 
+TEST(AdaptiveControllerTest, MinEqualsMaxIsAnExactFixedWindow) {
+  // A fixed window is the configuration min_delay == max_delay: every
+  // decision returns it, whatever the arrival rate, the pending count or
+  // the observed queue wait — including a window above the queue-wait
+  // budget, which neither the budget clamp nor the feedback shrink may
+  // cut below the floor.
+  for (const microseconds window :
+       {microseconds(500), microseconds(2000), microseconds(20000)}) {
+    AdaptiveConfig config = TestConfig();
+    config.min_delay = window;
+    config.max_delay = window;
+    FakeClock clock;
+    ArrivalRateEstimator arrivals;
+    AdaptiveBatchController controller(config, &clock, &arrivals);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/1), window);  // no rate yet
+    DriveArrivals(&arrivals, &clock, 50, microseconds(100));  // 10k rps
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/4), window);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/16), window);  // full
+    for (int i = 0; i < 10; ++i) controller.OnBatchComplete(40.0, 16);
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/4), window);  // over budget
+    clock.Advance(std::chrono::seconds(2));
+    arrivals.OnArrival(clock.Now());
+    EXPECT_EQ(controller.DecideDelay(/*pending=*/1), window);  // low rate
+    EXPECT_EQ(controller.adjustments(), 0u) << window.count();
+    EXPECT_EQ(controller.effective_delay(), window);
+  }
+}
+
 TEST(AdaptiveControllerTest, IdleBurstDecayReopensShortWindows) {
   // After a burst trains the EWMA high, a long idle gap must not leave the
   // controller choosing burst-sized windows: the decayed read drops the
@@ -255,38 +286,114 @@ ServerConfig AdaptiveServerConfig() {
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(2000);
   config.min_batch_delay = microseconds(100);
-  config.batch_policy = BatchPolicy::kAdaptive;
   config.queue_capacity = 1024;
   config.cache_capacity = 0;
   return config;
 }
 
-TEST(AdaptiveServeTest, FixedIsTheDefaultAndUntouched) {
-  const ServerConfig config;
-  EXPECT_EQ(config.batch_policy, BatchPolicy::kFixed);
+TEST(AdaptiveServeTest, DefaultClosesALoneRequestAtMinDelay) {
+  // The default config runs the adaptive law: at 20 req/s no straggler can
+  // arrive inside max_batch_delay, so each lone request's batch closes at
+  // min_batch_delay instead of holding it for the whole window.
+  auto clock = std::make_shared<FakeClock>();
+  ServerConfig config;
+  config.clock = clock;
+  ASSERT_LT(config.min_batch_delay, config.max_batch_delay);
   auto session = std::make_shared<SyntheticSession>(microseconds(50),
                                                     microseconds(5));
-  InferenceServer server(session);
-  ASSERT_TRUE(server.SubmitWait("x").status.ok());
-  server.Shutdown();
-  // Under kFixed the effective window is the configured one and the
-  // adaptive machinery stays silent — including its render row.
-  ServerStatsSnapshot stats = server.Stats();
+  ServeShard shard(session, config);
+  for (int i = 0; i < 5; ++i) {
+    if (i > 0) clock->Advance(milliseconds(50));
+    ServeResponse r = shard.Submit("lone_" + std::to_string(i)).get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.batch_size, 1);
+    EXPECT_EQ(shard.effective_batch_delay(), config.min_batch_delay)
+        << "request " << i;
+  }
+  shard.Shutdown();
+}
+
+TEST(AdaptiveServeTest, MinEqualsMaxKeepsFixedWindowBatchBoundaries) {
+  // A fixed window closes a batch exactly `window` after its first request
+  // is picked up, whatever the load — also a 20 ms window, four times the
+  // 5 ms queue-wait budget. Two requests 10 ms apart therefore share one
+  // batch; a budget-clamped window would split them.
+  auto clock = std::make_shared<FakeClock>();
+  ServerConfig config;
+  config.max_batch_delay = milliseconds(20);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
+  config.cache_capacity = 0;
+  config.clock = clock;
+  ASSERT_GT(config.max_batch_delay.count(),
+            config.target_queue_wait_ms * 1000.0);
+  auto session = std::make_shared<SyntheticSession>(microseconds(50),
+                                                    microseconds(5));
+  ServeShard shard(session, config);
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    std::future<ServeResponse> first =
+        shard.Submit("first_" + std::to_string(round));
+    std::this_thread::sleep_for(milliseconds(10));
+    clock->Advance(milliseconds(10));
+    std::future<ServeResponse> second =
+        shard.Submit("second_" + std::to_string(round));
+    ServeResponse a = first.get();
+    ServeResponse b = second.get();
+    ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+    EXPECT_EQ(a.batch_size, 2) << "round " << round;
+    EXPECT_EQ(b.batch_size, 2) << "round " << round;
+    clock->Advance(milliseconds(100));
+  }
+  shard.Shutdown();
+  ServerStatsSnapshot stats = shard.Stats();
+  EXPECT_EQ(stats.batch_size_histogram,
+            (std::map<size_t, uint64_t>{{2, kRounds}}));
   EXPECT_EQ(stats.adapt_adjustments, 0u);
+  EXPECT_EQ(shard.effective_batch_delay(), milliseconds(20));
+}
+
+TEST(AdaptiveServeTest, MinEqualsMaxNeverAdjustsAndRendersNoAdaptiveRow) {
+  // A fixed window is a configuration of the one law: bursts and idle gaps
+  // that would retune the default window leave it untouched, and the
+  // adaptive machinery stays silent — including its render row.
+  auto clock = std::make_shared<FakeClock>();
+  ServerConfig config;
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
+  config.cache_capacity = 0;
+  config.clock = clock;
+  auto session = std::make_shared<SyntheticSession>(microseconds(50),
+                                                    microseconds(5));
+  ServeShard shard(session, config);
+  std::vector<std::future<ServeResponse>> futures;
+  for (int burst = 0; burst < 3; ++burst) {
+    for (int i = 0; i < 12; ++i) {
+      clock->Advance(microseconds(50));
+      futures.push_back(shard.Submit("b" + std::to_string(burst) + "_" +
+                                      std::to_string(i)));
+    }
+    clock->Advance(std::chrono::seconds(1));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().status.ok());
+  shard.Shutdown();
+  ServerStatsSnapshot stats = shard.Stats();
+  EXPECT_EQ(stats.adapt_adjustments, 0u);
+  EXPECT_EQ(shard.effective_batch_delay(), config.max_batch_delay);
   EXPECT_EQ(stats.Render("synthetic").find("adaptive"), std::string::npos);
 }
 
 TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
-  // The policy only moves when a batch closes, never what the model
-  // computes: every payload must produce the same bytes under both.
+  // The window only moves when a batch closes, never what the model
+  // computes: every payload must produce the same bytes under the default
+  // law and a fixed (min == max) window.
   std::vector<std::string> inputs;
   for (int i = 0; i < 96; ++i) inputs.push_back("req_" + std::to_string(i));
 
-  auto run = [&](BatchPolicy policy) {
+  auto run = [&](bool fixed_window) {
     auto session = std::make_shared<SyntheticSession>(microseconds(100),
                                                       microseconds(10));
     ServerConfig config = AdaptiveServerConfig();
-    config.batch_policy = policy;
+    if (fixed_window) config.min_batch_delay = config.max_batch_delay;
     InferenceServer server(session, config);
     std::map<std::string, std::string> outputs;
     std::vector<std::future<ServeResponse>> futures;
@@ -301,8 +408,8 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
     return outputs;
   };
 
-  const auto fixed = run(BatchPolicy::kFixed);
-  const auto adaptive = run(BatchPolicy::kAdaptive);
+  const auto fixed = run(/*fixed_window=*/true);
+  const auto adaptive = run(/*fixed_window=*/false);
   EXPECT_EQ(fixed, adaptive);
 }
 
@@ -336,6 +443,7 @@ TEST(AdaptiveServeTest, ReservoirBoundsShardStatsMemory) {
   ServerConfig config;
   config.max_batch_size = 64;
   config.max_batch_delay = microseconds(50);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 8192;
   config.cache_capacity = 0;
   InferenceServer server(session, config);
@@ -367,6 +475,7 @@ TEST(AdaptiveServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
     ServerConfig config;
     config.max_batch_size = 16;
     config.max_batch_delay = microseconds(200);
+    config.min_batch_delay = config.max_batch_delay;  // fixed window
     config.queue_capacity = 1 << 20;  // cannot fill in this test
     config.cache_capacity = 0;
     InferenceServer server(session, config);

@@ -77,6 +77,7 @@ std::unique_ptr<RoutedServer> MakeServer(int replicas = 2) {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = std::chrono::microseconds(100);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   std::vector<RouteSpec> routes;
   routes.emplace_back("clean", std::move(sessions), config);
   return std::make_unique<RoutedServer>(std::move(routes));

@@ -233,6 +233,7 @@ TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
     ServerConfig config;
     config.max_batch_size = 8;
     config.max_batch_delay = std::chrono::milliseconds(50);
+    config.min_batch_delay = config.max_batch_delay;  // fixed window
     config.cache_capacity = 0;  // no submit-time hits: force in-batch dedup
     config.name = "obs_link_test";
     RoutedServer server(
@@ -288,6 +289,7 @@ TEST(ServeTraceTest, RoutedRequestProducesNestedSpans) {
     ServerConfig config;
     config.max_batch_size = 4;
     config.max_batch_delay = microseconds(500);
+    config.min_batch_delay = config.max_batch_delay;  // fixed window
     config.cache_capacity = 0;  // every request must cross the model
     config.name = "obs_trace_test";
     RoutedServer server(
@@ -351,6 +353,7 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(500);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 1024;
   config.cache_capacity = 0;
   config.name = "obs_stability_test";  // series unique to this test

@@ -219,9 +219,10 @@ TEST(RoutedServerTest, HashDispatchKeepsCachingShardStable) {
 }
 
 TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
-  // An adaptive route and a fixed route over identical replica pools must
-  // serve identical bytes; the adaptive pool's adjustment counter must
-  // surface through the per-route and whole-server aggregates.
+  // A default (adaptive) route and a fixed-window (min == max) route over
+  // identical replica pools must serve identical bytes; the adaptive
+  // pool's adjustment counter must surface through the per-route and
+  // whole-server aggregates.
   constexpr size_t kShards = 2;
   auto make_replicas = [] {
     std::vector<std::shared_ptr<ModelSession>> replicas;
@@ -231,11 +232,10 @@ TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
     }
     return replicas;
   };
-  ServerConfig fixed_config;
-  fixed_config.cache_capacity = 0;
-  ServerConfig adaptive_config = fixed_config;
-  adaptive_config.batch_policy = BatchPolicy::kAdaptive;
-  adaptive_config.min_batch_delay = microseconds(100);
+  ServerConfig adaptive_config;  // the default window law
+  adaptive_config.cache_capacity = 0;
+  ServerConfig fixed_config = adaptive_config;
+  fixed_config.min_batch_delay = fixed_config.max_batch_delay;
   RoutedServer server({{"fixed", make_replicas(), fixed_config},
                        {"adaptive", make_replicas(), adaptive_config}});
 
@@ -251,7 +251,7 @@ TEST(RoutedServerTest, AdaptiveRouteMatchesFixedOutputsAndAggregates) {
     ServeResponse a = adaptive_futures[i].get();
     ASSERT_TRUE(f.status.ok()) << f.status.ToString();
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    EXPECT_EQ(f.output, a.output) << i;  // policy moves timing, not bytes
+    EXPECT_EQ(f.output, a.output) << i;  // window moves timing, not bytes
   }
   server.Shutdown();
 
@@ -486,6 +486,7 @@ TEST(RoutedServerTest, MalformedPayloadHammerNeverKillsTheServer) {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(200);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.cache_capacity = 0;
   routes.push_back({"picky",
                     {std::make_shared<PickySession>(),

@@ -143,6 +143,7 @@ TEST(ServeTest, ConcurrentSubmitAllComplete) {
   ServerConfig config;
   config.max_batch_size = 4;
   config.max_batch_delay = microseconds(500);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 1024;
   config.cache_capacity = 0;  // every request must reach the model
   InferenceServer server(session, config);
@@ -195,6 +196,7 @@ TEST(ServeTest, MicroBatchingActuallyBatches) {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(20000);  // generous straggler window
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.cache_capacity = 0;
   InferenceServer server(session, config);
 
@@ -526,6 +528,7 @@ TEST(ServeTest, DuplicatePayloadsWithinBatchCoalesce) {
   ServerConfig config;
   config.max_batch_size = 8;
   config.max_batch_delay = microseconds(500000);  // gather everything queued
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 16;
   config.cache_capacity = 16;
   InferenceServer server(session, config);

@@ -454,18 +454,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  std::vector<int> hits(1000, 0);
-  ThreadPool::ParallelFor(1000, 4, [&hits](size_t i) { hits[i] = 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
-}
-
-TEST(ThreadPoolTest, ParallelForSingleThreadInline) {
-  std::vector<int> hits(10, 0);
-  ThreadPool::ParallelFor(10, 1, [&hits](size_t i) { hits[i] = 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
-}
-
 TEST(ThreadPoolTest, InstanceParallelForReusesWorkers) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
