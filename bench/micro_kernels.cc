@@ -5,7 +5,8 @@
 // Extra modes (see main):
 //   --selftest        correctness + speed gate for the dispatched GEMM,
 //                     suitable as a ctest entry (exit code 1 on failure).
-//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison, plus the
+//   --json-out=PATH   self-timed scalar-vs-SIMD GEMM comparison, the
+//                     dispatched GEMM's fraction of FMA peak, the
 //                     attention pieces (head-split transpose, masked
 //                     softmax, one attention forward) at the served
 //                     cleaner's batch shape, written as BENCH_kernels.json
@@ -22,6 +23,10 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "nn/attention.h"
 #include "nn/transformer.h"
@@ -291,9 +296,89 @@ GemmComparison CompareGemmAtSize(int64_t n, int reps) {
   return result;
 }
 
+// ---- Register-residency gate ----------------------------------------------
+
+#if defined(__x86_64__) || defined(__i386__)
+// AVX2 FMA throughput of this core in GFLOP/s: 12 independent ymm
+// accumulator chains (enough to cover FMA latency times issue width on
+// current x86 cores), written out by hand so they stay in registers at any
+// optimisation level. Compiled for AVX2 through the target attribute; call
+// only when CpuSupportsAvx2Fma().
+__attribute__((target("avx2,fma"))) double FmaPeakGflopsOnce() {
+  constexpr int64_t kIters = 20000;
+  const __m256 mul = _mm256_set1_ps(0.9999f);
+  const __m256 add = _mm256_set1_ps(1e-4f);
+  __m256 a0 = _mm256_set1_ps(1.0f), a1 = a0, a2 = a0, a3 = a0, a4 = a0,
+         a5 = a0, a6 = a0, a7 = a0, a8 = a0, a9 = a0, a10 = a0, a11 = a0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int64_t i = 0; i < kIters; ++i) {
+    a0 = _mm256_fmadd_ps(a0, mul, add);
+    a1 = _mm256_fmadd_ps(a1, mul, add);
+    a2 = _mm256_fmadd_ps(a2, mul, add);
+    a3 = _mm256_fmadd_ps(a3, mul, add);
+    a4 = _mm256_fmadd_ps(a4, mul, add);
+    a5 = _mm256_fmadd_ps(a5, mul, add);
+    a6 = _mm256_fmadd_ps(a6, mul, add);
+    a7 = _mm256_fmadd_ps(a7, mul, add);
+    a8 = _mm256_fmadd_ps(a8, mul, add);
+    a9 = _mm256_fmadd_ps(a9, mul, add);
+    a10 = _mm256_fmadd_ps(a10, mul, add);
+    a11 = _mm256_fmadd_ps(a11, mul, add);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  __m256 sum = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
+  sum = _mm256_add_ps(sum, _mm256_add_ps(_mm256_add_ps(a4, a5),
+                                         _mm256_add_ps(a6, a7)));
+  sum = _mm256_add_ps(sum, _mm256_add_ps(_mm256_add_ps(a8, a9),
+                                         _mm256_add_ps(a10, a11)));
+  float lanes[8];
+  _mm256_storeu_ps(lanes, sum);
+  benchmark::DoNotOptimize(lanes[0]);
+  const double flops = 2.0 * 8 * 12 * static_cast<double>(kIters);
+  return flops / std::chrono::duration<double>(stop - start).count() / 1e9;
+}
+#endif
+
+struct PeakFraction {
+  double gemm_gflops = 0.0;
+  double peak_gflops = 0.0;
+  double frac = 0.0;  // gemm_gflops / peak_gflops; 0 when there is no probe
+};
+
+// Dispatched GemmNN at [256x64]x[64x64] (the model's projection shape at a
+// formed batch) against the FMA probe, timed interleaved so both see the
+// same clock and neighbours, best-of-`reps` each. A micro-kernel whose
+// accumulators spill to the stack lands near a quarter of the probe.
+PeakFraction MeasureGemmPeakFraction(int reps) {
+  PeakFraction result;
+#if defined(__x86_64__) || defined(__i386__)
+  if (ActiveTensorBackend() != TensorBackend::kAvx2) return result;
+  constexpr int64_t m = 256, k = 64, n = 64;
+  Rng rng(9200);
+  Tensor a = Tensor::Randn({m, k}, 1.0f, &rng);
+  Tensor b = Tensor::Randn({k, n}, 1.0f, &rng);
+  Tensor c = Tensor::Zeros({m, n});
+  double best_seconds = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    result.peak_gflops = std::max(result.peak_gflops, FmaPeakGflopsOnce());
+    std::memset(c.data(), 0, sizeof(float) * static_cast<size_t>(m * n));
+    const auto start = std::chrono::steady_clock::now();
+    GemmNN(a.data(), b.data(), c.data(), m, k, n);
+    const auto stop = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(c.data());
+    best_seconds = std::min(
+        best_seconds, std::chrono::duration<double>(stop - start).count());
+  }
+  result.gemm_gflops = 2.0 * m * k * n / best_seconds / 1e9;
+  result.frac = result.gemm_gflops / result.peak_gflops;
+#endif
+  return result;
+}
+
 // Correctness + speed gate. With AVX2 active the dispatched GEMM must agree
-// with scalar to 1e-4 and must not be slower; with scalar dispatch the
-// comparison is scalar-vs-scalar and passes trivially (diff 0, speedup ~1).
+// with scalar to 1e-4, must not be slower, and must reach kMinPeakFrac of
+// the core's FMA throughput; with scalar dispatch the comparison is
+// scalar-vs-scalar and passes trivially (diff 0, speedup ~1).
 int RunSelftest() {
   const TensorBackend backend = ActiveTensorBackend();
   const bool simd = backend == TensorBackend::kAvx2;
@@ -318,6 +403,24 @@ int RunSelftest() {
     if (simd && n >= 256 && cmp.speedup < 0.9) {
       std::printf("  FAIL: SIMD GEMM slower than scalar (%.2fx) at n=%lld\n",
                   cmp.speedup, static_cast<long long>(n));
+      ok = false;
+    }
+  }
+  // Register-residency gate: a register-tiled kernel whose tile spills runs
+  // at about a quarter of peak, one that stays in ymm registers well above
+  // half. Meaningless under sanitizers, which add memory traffic of their
+  // own; the ctest entry is registered only for uninstrumented builds.
+  constexpr double kMinPeakFrac = 0.45;
+  if (simd) {
+    const PeakFraction peak = MeasureGemmPeakFraction(/*reps=*/200);
+    std::printf(
+        "  gemm [256x64]x[64x64]=%7.2f GFLOP/s  fma_peak=%7.2f GFLOP/s  "
+        "peak_frac=%.3f (min %.2f)\n",
+        peak.gemm_gflops, peak.peak_gflops, peak.frac, kMinPeakFrac);
+    if (peak.frac < kMinPeakFrac) {
+      std::printf("  FAIL: GEMM at %.3f of FMA peak < %.2f; are the "
+                  "micro-kernel accumulators spilling?\n",
+                  peak.frac, kMinPeakFrac);
       ok = false;
     }
   }
@@ -449,7 +552,11 @@ int WriteJsonReport(const std::string& path) {
     out << buf;
     std::printf("%s", buf);
   }
-  out << "  ],\n  \"attention_ops\": {\n";
+  const PeakFraction peak = MeasureGemmPeakFraction(/*reps=*/200);
+  std::printf("gemm_nn_peak_frac: %.3f (%.2f of %.2f GFLOP/s)\n", peak.frac,
+              peak.gemm_gflops, peak.peak_gflops);
+  out << "  ],\n  \"gemm_nn_peak_frac\": " << peak.frac
+      << ",\n  \"attention_ops\": {\n";
   const auto ops = CompareAttentionOps();
   for (size_t i = 0; i < ops.size(); ++i) {
     const auto& [name, r] = ops[i];

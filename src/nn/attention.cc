@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "util/logging.h"
@@ -40,20 +41,30 @@ Tensor BuildAttentionBias(int64_t batch, int64_t heads, int64_t q_len,
   }
   if (causal) RPT_CHECK_EQ(q_len, k_len);
   Tensor bias = Tensor::Zeros({batch, heads, q_len, k_len});
+  if (key_valid.empty() && !causal) return bias;
+  // A row depends only on b (padding) and, when causal, on i; never on h.
+  // Fill head 0's [q_len, k_len] block of each batch row, then copy it to
+  // the other heads.
+  const int64_t block = q_len * k_len;
   float* d = bias.data();
   for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t h = 0; h < heads; ++h) {
-      for (int64_t i = 0; i < q_len; ++i) {
-        float* row = d + ((b * heads + h) * q_len + i) * k_len;
-        for (int64_t j = 0; j < k_len; ++j) {
-          bool masked = false;
-          if (causal && j > i) masked = true;
-          if (!key_valid.empty() && key_valid[b * k_len + j] == 0) {
-            masked = true;
-          }
-          if (masked) row[j] = kNegInf;
-        }
+    float* head0 = d + b * heads * block;
+    if (!key_valid.empty()) {
+      const uint8_t* valid = key_valid.data() + b * k_len;
+      for (int64_t j = 0; j < k_len; ++j) {
+        if (valid[j] == 0) head0[j] = kNegInf;
       }
+    }
+    for (int64_t i = 1; i < q_len; ++i) {
+      std::memcpy(head0 + i * k_len, head0, sizeof(float) * k_len);
+    }
+    if (causal) {
+      for (int64_t i = 0; i < q_len; ++i) {
+        std::fill(head0 + i * k_len + i + 1, head0 + (i + 1) * k_len, kNegInf);
+      }
+    }
+    for (int64_t h = 1; h < heads; ++h) {
+      std::memcpy(head0 + h * block, head0, sizeof(float) * block);
     }
   }
   return bias;

@@ -10,7 +10,12 @@
 // model's shapes (K <= ~1024) a 16-column B panel spans at most 64 KiB of
 // strided loads and stays cache-resident across the M sweep, so no explicit
 // packing pass is needed to keep FMA ports busy. Row and column remainders
-// fall back to narrower tiles / scalar loops. Accumulation order differs
+// fall back to narrower tiles / scalar loops. Every loop over the tile's
+// ROWS carries `#pragma GCC unroll 8`: the library builds at -O2, where GCC
+// leaves such loops rolled and keeps the accumulator arrays on the stack
+// (a load-FMA-store per update, about a quarter of FMA peak). Fully
+// unrolled, the arrays become ymm registers; the pragma changes no
+// operation or order (DESIGN.md §13). Accumulation order differs
 // from the scalar kernels (8-wide trees vs strict left-to-right), so results
 // match scalar to ~1e-4 max abs, not bitwise — see DESIGN.md §13.
 
@@ -114,6 +119,7 @@ inline void MicroNx16(const float* a, int64_t lda, const float* b,
                       int64_t ldb, float* c, int64_t ldc, int64_t k) {
   __m256 acc0[ROWS];
   __m256 acc1[ROWS];
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     acc0[r] = _mm256_loadu_ps(c + r * ldc);
     acc1[r] = _mm256_loadu_ps(c + r * ldc + 8);
@@ -121,12 +127,14 @@ inline void MicroNx16(const float* a, int64_t lda, const float* b,
   for (int64_t p = 0; p < k; ++p) {
     const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
     const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     _mm256_storeu_ps(c + r * ldc, acc0[r]);
     _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
@@ -138,14 +146,17 @@ template <int ROWS>
 inline void MicroNx8(const float* a, int64_t lda, const float* b, int64_t ldb,
                      float* c, int64_t ldc, int64_t k) {
   __m256 acc[ROWS];
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) acc[r] = _mm256_loadu_ps(c + r * ldc);
   for (int64_t p = 0; p < k; ++p) {
     const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc[r] = _mm256_fmadd_ps(av, b0, acc[r]);
     }
   }
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) _mm256_storeu_ps(c + r * ldc, acc[r]);
 }
 
@@ -158,6 +169,7 @@ inline void MicroNx16Packed(const float* a, int64_t lda, const float* b,
                             float* c, int64_t ldc, int64_t k) {
   __m256 acc0[ROWS];
   __m256 acc1[ROWS];
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     acc0[r] = _mm256_loadu_ps(c + r * ldc);
     acc1[r] = _mm256_loadu_ps(c + r * ldc + 8);
@@ -166,6 +178,7 @@ inline void MicroNx16Packed(const float* a, int64_t lda, const float* b,
   for (; p + 2 <= k; p += 2, b += 32) {
     const __m256 b0 = _mm256_loadu_ps(b);
     const __m256 b1 = _mm256_loadu_ps(b + 8);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
@@ -173,6 +186,7 @@ inline void MicroNx16Packed(const float* a, int64_t lda, const float* b,
     }
     const __m256 b2 = _mm256_loadu_ps(b + 16);
     const __m256 b3 = _mm256_loadu_ps(b + 24);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p + 1);
       acc0[r] = _mm256_fmadd_ps(av, b2, acc0[r]);
@@ -182,12 +196,14 @@ inline void MicroNx16Packed(const float* a, int64_t lda, const float* b,
   for (; p < k; ++p, b += 16) {
     const __m256 b0 = _mm256_loadu_ps(b);
     const __m256 b1 = _mm256_loadu_ps(b + 8);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     _mm256_storeu_ps(c + r * ldc, acc0[r]);
     _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
@@ -198,14 +214,17 @@ template <int ROWS>
 inline void MicroNx8Packed(const float* a, int64_t lda, const float* b,
                            float* c, int64_t ldc, int64_t k) {
   __m256 acc[ROWS];
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) acc[r] = _mm256_loadu_ps(c + r * ldc);
   for (int64_t p = 0; p < k; ++p, b += 8) {
     const __m256 b0 = _mm256_loadu_ps(b);
+    #pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
       acc[r] = _mm256_fmadd_ps(av, b0, acc[r]);
     }
   }
+  #pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) _mm256_storeu_ps(c + r * ldc, acc[r]);
 }
 

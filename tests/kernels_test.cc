@@ -176,6 +176,66 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(33, 3, 9),      // n < 16: 8-panel + scalar tail
         std::make_tuple(4, 11, 7)));    // n < 8: scalar-tail only
 
+// ---- Pinned AVX2 GEMM outputs ---------------------------------------------
+
+uint64_t Fnv1a(const std::vector<float>& v, uint64_t h) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (size_t i = 0; i < v.size() * sizeof(float); ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PinnedOutputTest, Avx2GemmKernelsAreBitwiseStable) {
+  // Every AVX2 GEMM entry point over odd shapes: m covers the unpacked
+  // (m <= 8) and packed (m > 8) NN paths and every 6-row remainder; n covers
+  // the 16- and 8-column panels and the scalar column tail. C starts
+  // non-zero, so the accumulator load is hashed too (GemmNNEx included).
+  // Inputs are uniform draws, so only the kernels' own arithmetic moves the
+  // hash: a kernel edit must keep each output's FMA order or re-pin with a
+  // reason.
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA on this host/build";
+  BackendGuard guard(TensorBackend::kAvx2);
+  Rng rng(2024);
+  const auto uniform = [&rng](int64_t count) {
+    std::vector<float> v(static_cast<size_t>(count));
+    for (float& x : v) x = rng.UniformFloat(-1.0f, 1.0f);
+    return v;
+  };
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17, 136}) {
+    for (int64_t k : {1, 7, 16, 17, 64, 128}) {
+      for (int64_t n : {1, 5, 8, 15, 16, 17, 24, 64, 691}) {
+        const auto a = uniform(m * k);
+        const auto b = uniform(k * n);
+        const auto bt = uniform(n * k);
+        const auto b_tn = uniform(m * n);
+        const auto bias = uniform(n);
+        const auto c0 = uniform(m * n);
+        const auto c0_tn = uniform(k * n);
+        std::vector<float> c = c0;
+        GemmNN(a.data(), b.data(), c.data(), m, k, n);
+        hash = Fnv1a(c, hash);
+        for (GemmEpilogue epilogue :
+             {GemmEpilogue::kNone, GemmEpilogue::kBias,
+              GemmEpilogue::kBiasRelu, GemmEpilogue::kBiasGelu}) {
+          c = c0;
+          GemmNNEx(a.data(), b.data(), bias.data(), c.data(), m, k, n,
+                   epilogue);
+          hash = Fnv1a(c, hash);
+        }
+        c = c0;
+        GemmNT(a.data(), bt.data(), c.data(), m, k, n);
+        hash = Fnv1a(c, hash);
+        c = c0_tn;
+        GemmTN(a.data(), b_tn.data(), c.data(), m, k, n);
+        hash = Fnv1a(c, hash);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xaaaf0503e56bd0c9ull) << std::hex << hash;
+}
+
 TEST(ReductionKernelsTest, Avx2MatchesScalar) {
   if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA on this host/build";
   Rng rng(77);

@@ -115,6 +115,61 @@ TEST(AttentionBiasTest, PaddingMasking) {
   }
 }
 
+// The per-element construction BuildAttentionBias replaced: every
+// [b, h, i, j] entry decided on its own.
+std::vector<float> ElementwiseAttentionBias(
+    int64_t batch, int64_t heads, int64_t q_len, int64_t k_len,
+    const std::vector<uint8_t>& key_valid, bool causal) {
+  std::vector<float> out(static_cast<size_t>(batch * heads * q_len * k_len));
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t h = 0; h < heads; ++h) {
+      for (int64_t i = 0; i < q_len; ++i) {
+        for (int64_t j = 0; j < k_len; ++j) {
+          const bool masked =
+              (causal && j > i) ||
+              (!key_valid.empty() && key_valid[b * k_len + j] == 0);
+          out[static_cast<size_t>(((b * heads + h) * q_len + i) * k_len +
+                                  j)] = masked ? -1e9f : 0.0f;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AttentionBiasTest, RowCopiesMatchElementwiseConstruction) {
+  struct Case {
+    const char* name;
+    int64_t batch, heads, q_len, k_len;
+    std::vector<uint8_t> key_valid;
+    bool causal;
+  };
+  // Three rows of five keys with 0, 1 and 2 trailing pads.
+  const std::vector<uint8_t> ragged = {1, 1, 1, 1, 1, 1, 1, 1,
+                                       1, 0, 1, 1, 1, 0, 0};
+  const std::vector<Case> cases = {
+      {"padded", 3, 4, 5, 5, ragged, false},
+      {"causal", 2, 3, 4, 4, {}, true},
+      {"causal+padded", 3, 2, 5, 5, ragged, true},
+      {"empty key_valid", 2, 4, 3, 6, {}, false},
+      {"q_len 1", 3, 4, 1, 5, ragged, false},
+      {"q_len 1 causal", 2, 2, 1, 1, {1, 0}, true},
+      {"all keys padded", 1, 2, 3, 3, {0, 0, 0}, false},
+  };
+  for (const Case& c : cases) {
+    const Tensor bias = BuildAttentionBias(c.batch, c.heads, c.q_len,
+                                           c.k_len, c.key_valid, c.causal);
+    ASSERT_EQ(bias.shape(),
+              (std::vector<int64_t>{c.batch, c.heads, c.q_len, c.k_len}))
+        << c.name;
+    const std::vector<float> want = ElementwiseAttentionBias(
+        c.batch, c.heads, c.q_len, c.k_len, c.key_valid, c.causal);
+    EXPECT_EQ(std::vector<float>(bias.data(), bias.data() + bias.numel()),
+              want)
+        << c.name;
+  }
+}
+
 TEST(AttentionTest, OutputShape) {
   Rng rng(6);
   MultiHeadAttention mha(32, 4, 0.0f, &rng);
