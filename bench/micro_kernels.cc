@@ -28,6 +28,7 @@
 #include <immintrin.h>
 #endif
 
+#include "bench_util.h"
 #include "nn/attention.h"
 #include "nn/transformer.h"
 #include "rpt/blocker.h"
@@ -593,8 +594,8 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--selftest") {
       selftest = true;
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_path = arg.substr(std::strlen("--json-out="));
+    } else if (const char* path = rpt::bench::JsonOutPath(argv[i])) {
+      json_path = path;
     } else {
       args.push_back(argv[i]);
     }

@@ -1,5 +1,5 @@
 // Serving throughput: sequential one-at-a-time inference vs dynamic
-// micro-batching through rpt::InferenceServer, plus routed multi-shard
+// micro-batching through one rpt::ServeShard, plus routed multi-shard
 // serving through rpt::RoutedServer, on the same synthetic workloads.
 //
 // The synthetic session has an accelerator-shaped cost profile: a fixed
@@ -20,8 +20,10 @@
 // bursts, full saturation) with a fixed (min == max) straggler window and
 // under the default adaptive law: adaptive should cut low-rate latency
 // sharply (no waiting for company that never comes) while matching fixed
-// throughput at saturation, with outputs bit-identical throughout. A final section serves a real
-// (tiny) RPT-C cleaner to show the end-to-end path.
+// throughput at saturation, with outputs bit-identical throughout. A dedup
+// section serves surface-perturbed repeats through the byte-exact cache and
+// in-flight coalescing, and a final section serves a real (tiny) RPT-C
+// cleaner to show the end-to-end path.
 //
 // `--smoke` (or `--quick`) runs a small correctness-only subset
 // (bit-identity and stats reconciliation, no timing assertions) for CI.
@@ -46,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "eval/report.h"
 #include "nn/backend.h"
 #include "nn/weight_store.h"
@@ -54,30 +57,30 @@
 #include "rpt/cleaner.h"
 #include "rpt/vocab_builder.h"
 #include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 #include "table/table.h"
 #include "tensor/quant.h"
 #include "util/rng.h"
 
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 namespace {
 
 using rpt::CleanerSession;
-using rpt::InferenceServer;
 using rpt::ModelSession;
 using rpt::ReportTable;
 using rpt::RouteSpec;
 using rpt::RoutedServer;
 using rpt::RoutedStatsSnapshot;
 using rpt::ServeResponse;
+using rpt::ServeShard;
 using rpt::ServerConfig;
 using rpt::ServerStatsSnapshot;
 using rpt::SyntheticSession;
 using rpt::SyntheticWait;
+using rpt::bench::Check;
+using rpt::bench::CurrentRssBytes;
+using rpt::bench::g_failures;
+using rpt::bench::RecordMetric;
 using std::chrono::microseconds;
 using std::chrono::steady_clock;
 
@@ -85,58 +88,6 @@ constexpr int kRequests = 256;
 constexpr int kClientThreads = 8;
 constexpr auto kPerPass = microseconds(1500);
 constexpr auto kPerItem = microseconds(100);
-
-int g_failures = 0;
-
-/// Flat name -> value metrics accumulated across sections, written as
-/// BENCH_serve.json when --json-out=PATH is given (the CI artifact).
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void RecordMetric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
-
-void WriteJsonMetrics(const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("FAIL: cannot open json output '%s'\n", path);
-    ++g_failures;
-    return;
-  }
-  std::fprintf(f, "{\n");
-  for (const auto& [name, value] : g_metrics) {
-    std::fprintf(f, "  \"%s\": %.6g,\n", name.c_str(), value);
-  }
-  std::fprintf(f, "  \"failures\": %d\n}\n", g_failures);
-  std::fclose(f);
-  std::printf("\nmetrics: %zu entries written to %s\n", g_metrics.size() + 1,
-              path);
-}
-
-/// Resident set size of this process, or 0 where /proc is unavailable.
-size_t CurrentRssBytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long total_pages = 0, resident_pages = 0;
-  const int got = std::fscanf(f, "%lu %lu", &total_pages, &resident_pages);
-  std::fclose(f);
-  if (got != 2) return 0;
-  return static_cast<size_t>(resident_pages) *
-         static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-#else
-  return 0;
-#endif
-}
-
-void Check(bool ok, const char* what) {
-  if (ok) {
-    std::printf("\nOK: %s\n", what);
-  } else {
-    std::printf("\nFAIL: %s\n", what);
-    ++g_failures;
-  }
-}
 
 /// The synthetic workload: every 4th request repeats an earlier payload,
 /// the way dirty cells repeat across a large table.
@@ -165,11 +116,11 @@ double RunSequential(const std::vector<std::string>& inputs) {
   return static_cast<double>(inputs.size()) / SecondsSince(start);
 }
 
-/// Serves the workload from kClientThreads concurrent clients through an
-/// InferenceServer; returns requests/sec and prints server stats. With
+/// Serves the workload from kClientThreads concurrent clients through one
+/// ServeShard; returns requests/sec and prints server stats. With
 /// `passes > 1` the whole workload is replayed after the first pass
 /// completes — repeats then land in the warmed LRU cache (cache lookups
-/// happen at submit time; only same-batch duplicates coalesce in flight).
+/// happen at submit time; only duplicates still in flight coalesce).
 double RunServed(const std::vector<std::string>& inputs, size_t max_batch,
                  size_t cache_capacity, int passes, const char* label) {
   auto session = std::make_shared<SyntheticSession>(kPerPass, kPerItem);
@@ -179,7 +130,7 @@ double RunServed(const std::vector<std::string>& inputs, size_t max_batch,
   config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 1024;
   config.cache_capacity = cache_capacity;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   const auto start = steady_clock::now();
   for (int pass = 0; pass < passes; ++pass) {
@@ -449,7 +400,7 @@ AdaptiveOutcome RunAdaptivePolicy(
   config.min_batch_delay =
       fixed_window ? config.max_batch_delay : microseconds(100);
   config.target_queue_wait_ms = 5.0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   std::vector<std::string> order;
   std::vector<std::future<ServeResponse>> futures;
@@ -827,7 +778,7 @@ void WeightSharing(bool smoke) {
   }
 }
 
-// ---- Semantic dedup ---------------------------------------------------------
+// ---- Byte-exact dedup -------------------------------------------------------
 
 /// One request of the dedup workload, tagged with the base tuple it was
 /// derived from so outputs can be checked against the right answer.
@@ -839,11 +790,8 @@ struct DedupRequest {
 constexpr char kUnitSep = '\x1f';
 
 /// The canonical tuple for base `b`: several multi-token fields, each
-/// carrying a three-token identity tag. The tuples are long enough that a
-/// one-token edit stays within a small SimHash Hamming distance of its own
-/// base (~10 bits), and the repeated tags keep distinct bases far apart
-/// (>=29 bits measured over all base/edit pairs) — the near-dup layer must
-/// never serve one tuple's answer for another.
+/// carrying a three-token identity tag, so a response can be checked
+/// against the tuple it must answer.
 std::string DedupBaseTuple(int b) {
   const std::string tag = "sku-" + std::to_string(b) + " model-" +
                           std::to_string(100 + b) + " lot-" +
@@ -860,16 +808,16 @@ std::string DedupBaseTuple(int b) {
 
 /// Zipf-ish skewed workload over `bases` distinct tuples (rank r drawn with
 /// weight 1/(r+1) — a handful of dirty values dominate real cleaning
-/// traffic). Every draw gets a random surface perturbation inside
-/// normalization reach (casing, extra whitespace, attribute order); a
-/// quarter additionally get a one-token edit that only the SimHash layer
-/// can catch.
+/// traffic). Every draw gets a random surface perturbation (casing, extra
+/// whitespace, attribute order) and a quarter a one-token edit. Each
+/// perturbed payload is its own request to the byte-exact serving layer:
+/// only identical bytes share an answer.
 std::vector<DedupRequest> MakeDedupWorkload(int requests, int bases,
                                             rpt::Rng* rng) {
   std::vector<double> weights(bases);
   for (int b = 0; b < bases; ++b) weights[b] = 1.0 / (b + 1);
-  // One-token edits, applied mid-field so the attribute sort keeps the
-  // field order (and the sku token keeps identifying the base).
+  // One-token edits, applied mid-field so the sku token keeps identifying
+  // the base.
   const std::vector<std::pair<std::string, std::string>> edits = {
       {"retail boxed", "retail box"},
       {"base clock", "boost clock"},
@@ -886,8 +834,8 @@ std::vector<DedupRequest> MakeDedupWorkload(int requests, int bases,
       const size_t pos = payload.find(from);
       payload.replace(pos, from.size(), to);
     }
-    // Surface noise the normalizer erases: random upper-casing and doubled
-    // spaces, plus a field shuffle.
+    // Surface noise: random upper-casing and doubled spaces, plus a field
+    // shuffle.
     std::string noisy;
     noisy.reserve(payload.size() + 8);
     for (char c : payload) {
@@ -920,17 +868,34 @@ std::vector<DedupRequest> MakeDedupWorkload(int requests, int bases,
   return out;
 }
 
-/// Serves the dedup workload under `config`; returns requests/sec and
-/// checks that every response answers the request's own base tuple (the
-/// sku token must survive whatever dedup layer served it). Clients are
-/// closed-loop — each thread waits for its response before the next submit
-/// — so the cache and index warm as the run progresses, the way a steady
-/// request stream meets a server.
-double RunDedupCondition(const std::vector<DedupRequest>& workload,
-                         const std::shared_ptr<SyntheticSession>& session,
-                         const ServerConfig& config, const char* label,
-                         ServerStatsSnapshot* stats_out) {
-  InferenceServer server(session, config);
+/// Serves the perturbed-repeat workload through the byte-exact cache and
+/// in-flight coalescing, checking that every response answers the
+/// request's own base tuple. Clients are closed-loop — each thread waits
+/// for its response before the next submit — so the cache warms as the run
+/// progresses, the way a steady request stream meets a server. Then a
+/// concurrent burst of one exact payload, cache off, must fold onto a
+/// handful of forward passes and answer every caller with the same bytes.
+void ExactDedup(bool smoke) {
+  rpt::PrintBanner("dedup: byte-exact cache + in-flight coalescing");
+  const int requests = smoke ? 96 : 512;
+  const int bases = 24;
+  rpt::Rng rng(0xD5D0);
+  const std::vector<DedupRequest> workload =
+      MakeDedupWorkload(requests, bases, &rng);
+  std::printf(
+      "workload: %d zipf-skewed requests over %d tuples, surface-perturbed "
+      "(case/space/field order) + 25%% one-token variants\n\n",
+      requests, bases);
+
+  ServerConfig config;
+  config.max_batch_size = 16;
+  config.max_batch_delay = microseconds(1000);
+  config.min_batch_delay = config.max_batch_delay;  // fixed window
+  config.queue_capacity = 1024;
+  config.cache_capacity = 512;
+  auto session = std::make_shared<SyntheticSession>(kPerPass, kPerItem,
+                                                    SyntheticWait::kSleep);
+  ServeShard server(session, config);
   std::atomic<size_t> mismatches{0};
   const auto start = steady_clock::now();
   std::vector<std::thread> clients;
@@ -942,7 +907,7 @@ double RunDedupCondition(const std::vector<DedupRequest>& workload,
       const size_t end = (t == kClientThreads - 1) ? workload.size()
                                                    : begin + per_thread;
       for (size_t i = begin; i < end; ++i) {
-        ServeResponse r = server.SubmitWait(workload[i].payload);
+        ServeResponse r = server.Submit(workload[i].payload).get();
         // The payload's surface noise may have uppercased the sku token;
         // fold before matching.
         std::string folded = r.output;
@@ -960,90 +925,25 @@ double RunDedupCondition(const std::vector<DedupRequest>& workload,
   const double rps =
       static_cast<double>(workload.size()) / SecondsSince(start);
   server.Shutdown();
-  *stats_out = server.Stats();
-  if (mismatches.load() > 0) {
-    std::printf("FAIL: %s: %zu responses answered the wrong tuple\n", label,
-                mismatches.load());
-    ++g_failures;
-  }
-  std::printf("%-28s %7.0f req/s  model items %lld  neardup hits %llu  "
+  const ServerStatsSnapshot stats = server.Stats();
+  std::printf("%-28s %7.0f req/s  model items %lld  cache hits %llu  "
               "in-flight joins %llu\n",
-              label, rps, static_cast<long long>(session->items()),
-              static_cast<unsigned long long>(stats_out->neardup_hits),
-              static_cast<unsigned long long>(stats_out->inflight_coalesced));
-  return rps;
-}
-
-void SemanticDedup(bool smoke) {
-  rpt::PrintBanner("semantic dedup: strict vs normalized + SimHash near-dup");
-  const int requests = smoke ? 96 : 512;
-  const int bases = 24;
-  rpt::Rng rng(0xD5D0);
-  const std::vector<DedupRequest> workload =
-      MakeDedupWorkload(requests, bases, &rng);
-  std::printf(
-      "workload: %d zipf-skewed requests over %d tuples, surface-perturbed "
-      "(case/space/field order) + 25%% one-token near variants\n\n",
-      requests, bases);
-
-  ServerConfig strict;
-  strict.max_batch_size = 16;
-  strict.max_batch_delay = microseconds(1000);
-  strict.min_batch_delay = strict.max_batch_delay;  // fixed window
-  strict.queue_capacity = 1024;
-  strict.cache_capacity = 512;
-  strict.exactness = rpt::Exactness::kStrict;
-  strict.inflight_coalescing = false;  // the A side: byte-exact LRU only
-
-  ServerConfig semantic = strict;
-  semantic.exactness = rpt::Exactness::kNearDup;
-  semantic.neardup_max_hamming = 12;
-  semantic.inflight_coalescing = true;
-
-  auto session_a = std::make_shared<SyntheticSession>(kPerPass, kPerItem,
-                                                      SyntheticWait::kSleep);
-  auto session_b = std::make_shared<SyntheticSession>(kPerPass, kPerItem,
-                                                      SyntheticWait::kSleep);
-  ServerStatsSnapshot stats_a, stats_b;
-  const double rps_a = RunDedupCondition(workload, session_a, strict,
-                                         "strict (exact LRU)", &stats_a);
-  const double rps_b =
-      RunDedupCondition(workload, session_b, semantic,
-                        "semantic (neardup+coalesce)", &stats_b);
-
-  // The semantic layers must strictly reduce model work on this workload:
-  // surface variants collapse through normalized keys, near variants
-  // through the SimHash index, concurrent repeats through in-flight
-  // coalescing.
-  Check(session_b->items() < session_a->items(),
-        "semantic dedup ran fewer model items than strict");
-  if (!smoke) {
-    Check(stats_b.neardup_hits > 0, "SimHash index served near variants");
-    Check(rps_b > rps_a, "semantic dedup raised throughput over strict");
-  }
-  RecordMetric("dedup_strict_rps", rps_a);
-  RecordMetric("dedup_semantic_rps", rps_b);
-  RecordMetric("dedup_speedup", rps_b / rps_a);
+              "exact (LRU + coalescing)", rps,
+              static_cast<long long>(session->items()),
+              static_cast<unsigned long long>(stats.cache_hits),
+              static_cast<unsigned long long>(stats.inflight_coalesced));
+  Check(mismatches.load() == 0, "every response answered its own tuple");
+  RecordMetric("dedup_strict_rps", rps);
   RecordMetric("dedup_strict_model_items",
-               static_cast<double>(session_a->items()));
-  RecordMetric("dedup_semantic_model_items",
-               static_cast<double>(session_b->items()));
-  RecordMetric("dedup_neardup_hits",
-               static_cast<double>(stats_b.neardup_hits));
-  RecordMetric("dedup_inflight_coalesced",
-               static_cast<double>(stats_b.inflight_coalesced));
-  RecordMetric("dedup_cache_hit_rate", stats_b.cache_hit_rate);
+               static_cast<double>(session->items()));
 
-  // Bit-identity of in-flight coalescing: a concurrent burst of one exact
-  // payload, cache off, must fold onto a handful of forward passes and
-  // answer every caller with the same bytes.
   ServerConfig burst_config;
   burst_config.max_batch_size = 16;
   burst_config.queue_capacity = 1024;
   burst_config.cache_capacity = 0;  // coalescing alone carries the burst
   auto burst_session = std::make_shared<SyntheticSession>(
       kPerPass, kPerItem, SyntheticWait::kSleep);
-  InferenceServer burst_server(burst_session, burst_config);
+  ServeShard burst_server(burst_session, burst_config);
   const int burst = smoke ? 32 : 64;
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(burst);
@@ -1095,7 +995,7 @@ void ServeRealCleaner() {
   server_config.max_batch_size = 8;
   server_config.max_batch_delay = microseconds(2000);
   server_config.min_batch_delay = server_config.max_batch_delay;
-  InferenceServer server(session, server_config);
+  ServeShard server(session, server_config);
 
   constexpr int kCleanerRequests = 32;
   const auto start = steady_clock::now();
@@ -1150,8 +1050,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_out = argv[i] + std::strlen("--json-out=");
+    } else if (const char* path = rpt::bench::JsonOutPath(argv[i])) {
+      json_out = path;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke|--quick] [--trace-out PATH] "
@@ -1173,10 +1073,10 @@ int main(int argc, char** argv) {
     MixedRoutedWorkload(/*smoke=*/true);
     AdaptiveBatching(/*smoke=*/true);
     WeightSharing(/*smoke=*/true);
-    SemanticDedup(/*smoke=*/true);
+    ExactDedup(/*smoke=*/true);
     std::printf("\nsmoke: %d failure(s)\n", g_failures);
     if (trace_out != nullptr) WriteTrace(trace_out);
-    if (json_out != nullptr) WriteJsonMetrics(json_out);
+    if (json_out != nullptr) rpt::bench::WriteJsonMetrics(json_out);
     return g_failures == 0 ? 0 : 1;
   }
 
@@ -1215,9 +1115,9 @@ int main(int argc, char** argv) {
   MixedRoutedWorkload(/*smoke=*/false);
   AdaptiveBatching(/*smoke=*/false);
   WeightSharing(/*smoke=*/false);
-  SemanticDedup(/*smoke=*/false);
+  ExactDedup(/*smoke=*/false);
   ServeRealCleaner();
   if (trace_out != nullptr) WriteTrace(trace_out);
-  if (json_out != nullptr) WriteJsonMetrics(json_out);
+  if (json_out != nullptr) rpt::bench::WriteJsonMetrics(json_out);
   return g_failures == 0 ? 0 : 1;
 }

@@ -33,33 +33,35 @@ double ArrivalRateEstimator::OnArrival(
   const int64_t prev_ns = last_ns_.exchange(now_ns, std::memory_order_relaxed);
   if (prev_ns == 0 || now_ns <= prev_ns) return 0;
   const double interval_ms = static_cast<double>(now_ns - prev_ns) / 1e6;
-  const double instant_rps = 1000.0 / std::max(interval_ms, 1e-3);
-  double prev_rate =
-      std::bit_cast<double>(rate_bits_.load(std::memory_order_relaxed));
+  // The gap is smoothed and the rate is its inverse: under Poisson
+  // arrivals the EWMA of the gap is an unbiased estimate of the mean gap,
+  // while an EWMA of 1/gap is dominated by the short gaps (the mean of
+  // 1/gap is unbounded for exponential gaps) and reads the rate high.
+  const double gap_ms = std::max(interval_ms, 1e-3);
+  double prev_gap =
+      std::bit_cast<double>(gap_bits_.load(std::memory_order_relaxed));
   // A gap an order of magnitude past the EWMA's expected interarrival
-  // means the regime changed, not that one request jittered: reset to the
-  // instant rate (the maximum-likelihood bound RateAt applies on reads,
-  // which is void at the instant of an arrival since elapsed is zero).
-  // Without this, a burst followed by a quiet spell leaves the next lone
-  // request facing a window sized for the long-gone burst. Ordinary
-  // jitter stays well under the 10x threshold and keeps full smoothing.
-  if (prev_rate > 0 && instant_rps * 10.0 < prev_rate) {
-    prev_rate = instant_rps;
-  }
-  const double next_rate =
-      prev_rate == 0 ? instant_rps
-                     : (1 - alpha_) * prev_rate + alpha_ * instant_rps;
-  rate_bits_.store(std::bit_cast<uint64_t>(next_rate),
-                   std::memory_order_relaxed);
+  // means the regime changed, not that one request jittered: reset to this
+  // gap (the maximum-likelihood bound RateAt applies on reads, which is
+  // void at the instant of an arrival since elapsed is zero). Without
+  // this, a burst followed by a quiet spell leaves the next lone request
+  // facing a window sized for the long-gone burst. Ordinary jitter stays
+  // well under the 10x threshold and keeps full smoothing.
+  if (prev_gap > 0 && gap_ms > 10.0 * prev_gap) prev_gap = gap_ms;
+  const double next_gap =
+      prev_gap == 0 ? gap_ms : (1 - alpha_) * prev_gap + alpha_ * gap_ms;
+  gap_bits_.store(std::bit_cast<uint64_t>(next_gap),
+                  std::memory_order_relaxed);
   return interval_ms;
 }
 
 double ArrivalRateEstimator::RateAt(
     std::chrono::steady_clock::time_point now) const {
-  const double rate =
-      std::bit_cast<double>(rate_bits_.load(std::memory_order_relaxed));
+  const double gap_ms =
+      std::bit_cast<double>(gap_bits_.load(std::memory_order_relaxed));
   const int64_t last_ns = last_ns_.load(std::memory_order_relaxed);
-  if (rate <= 0 || last_ns == 0) return 0;
+  if (gap_ms <= 0 || last_ns == 0) return 0;
+  const double rate = 1000.0 / gap_ms;
   const double elapsed_s =
       static_cast<double>(ToNs(now) - last_ns) / 1e9;
   if (elapsed_s <= 0) return rate;

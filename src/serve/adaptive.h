@@ -36,15 +36,16 @@
 // min_delay, and the mid-band picks the window that just fills a batch —
 // all while the p95-ish queue wait is held inside `target_queue_wait_ms`.
 //
-// The arrival rate is an EWMA over instantaneous rates, *decayed on read*:
-// after a burst goes quiet the EWMA alone would report the burst rate
-// forever (nothing arrives to update it), so RateAt caps the estimate by
+// The arrival rate is the inverse of an EWMA over interarrival gaps
+// (1/EWMA(gap), not EWMA(1/gap): under Poisson arrivals the latter is
+// biased high by the short gaps), *decayed on read*: after a burst goes
+// quiet the EWMA alone would report the burst rate forever (nothing
+// arrives to update it), so RateAt caps the estimate by
 // 1/elapsed-since-last-arrival — the maximum-likelihood bound given that
 // zero requests arrived in the gap. The same decayed value feeds the
 // `rpt_serve_arrival_rate_rps` gauge. The write side applies the matching
-// bound: an arrival after a gap 10x past the expected interarrival resets
-// the EWMA to the instant rate (regime change), while ordinary jitter
-// keeps full smoothing.
+// bound: a gap 10x past the smoothed gap resets the EWMA to that gap
+// (regime change), while ordinary jitter keeps full smoothing.
 //
 // Decisions are taken on the collector thread through the `Clock`
 // interface, so tests drive the whole loop deterministically with a fake
@@ -73,9 +74,10 @@ class Clock {
 /// The process steady-clock. Never deleted; safe to hold for any lifetime.
 const Clock* SystemClock();
 
-/// EWMA request-arrival-rate estimator whose read side decays with idle
-/// time. OnArrival is thread-safe (relaxed atomics; concurrent writers can
-/// only smudge the smoothing); RateAt is safe from any thread.
+/// Request-arrival-rate estimator: the inverse of an EWMA over
+/// interarrival gaps, with a read side that decays with idle time.
+/// OnArrival is thread-safe (relaxed atomics; concurrent writers can only
+/// smudge the smoothing); RateAt is safe from any thread.
 class ArrivalRateEstimator {
  public:
   explicit ArrivalRateEstimator(double alpha = 0.1) : alpha_(alpha) {}
@@ -92,7 +94,7 @@ class ArrivalRateEstimator {
  private:
   const double alpha_;
   std::atomic<int64_t> last_ns_{0};
-  std::atomic<uint64_t> rate_bits_{0};  // bit-cast double, EWMA rps
+  std::atomic<uint64_t> gap_bits_{0};  // bit-cast double, EWMA gap in ms
 };
 
 /// Tuning bounds for one shard's controller. Mirrored from ServerConfig by

@@ -1,11 +1,17 @@
 // ModelSession: the model-side contract of the serving layer.
 //
-// The InferenceServer (serve/server.h) is model-agnostic: it batches opaque
-// string payloads and hands them to a ModelSession, which owns one loaded
-// model (cleaner, matcher, or extractor — serve/sessions.h) and executes a
-// whole micro-batch with a single forward pass. Payload formats are
-// session-specific; the Format*/Parse* helpers in serve/sessions.h are the
-// canonical encoders.
+// The serving layer (ServeShard, serve/shard.h) is model-agnostic: it
+// batches opaque string payloads and hands them to a ModelSession, which
+// owns one loaded model (cleaner, matcher, or extractor — serve/sessions.h)
+// and executes a whole micro-batch with a single forward pass. Payload
+// formats are session-specific; the Format*/Parse* helpers in
+// serve/sessions.h are the canonical encoders.
+//
+// The shard caches and coalesces on the exact payload bytes, never on a
+// normalized form: a payload's field order carries meaning (which attribute
+// holds which value, the cleaner's column index), so two payloads share an
+// answer only when they are byte-identical. A session's output must
+// therefore be a pure function of its payload.
 //
 // RunBatch is called from exactly one scheduler thread at a time — each
 // session instance is owned by exactly one ServeShard — so sessions need no

@@ -66,8 +66,6 @@ RoutedServer::RoutedServer(std::vector<RouteSpec> routes) {
         << spec.replicas.size() << " replicas";
     Route route;
     route.name = spec.name;
-    route.exactness = spec.config.exactness;
-    route.normalize = spec.config.normalize;
     route.shards.reserve(spec.replicas.size());
     for (size_t i = 0; i < spec.replicas.size(); ++i) {
       ServerConfig shard_config = spec.config;
@@ -123,11 +121,7 @@ void RoutedServer::SubmitAsync(const std::string& route, std::string input,
     return;
   }
   Route& rt = routes_[it->second];
-  size_t shard =
-      rt.exactness == Exactness::kStrict
-          ? ShardForPayload(input, rt.shards.size())
-          : ShardForPayload(NormalizeForDedup(input, rt.normalize),
-                            rt.shards.size());
+  size_t shard = ShardForPayload(input, rt.shards.size());
   if (rt.shards.size() > 1 &&
       rt.shards[shard]->queue_depth() >=
           rt.shards[shard]->config().queue_capacity) {

@@ -12,12 +12,9 @@
 //     completes immediately with kNotFound.
 //  2. Hash: within the pool, the payload's stable FNV-1a hash picks the
 //     shard (util/hash.h). Stable means repeats of the same payload land on
-//     the same shard, so each shard's LRU cache keeps absorbing them, and
-//     within-batch coalescing keeps seeing its duplicates. Routes whose
-//     config relaxes exactness below kStrict hash the *normalized* payload
-//     (util/simhash.h) so surface variants — stray whitespace, case,
-//     attribute order — also converge on one shard; per-shard dedup state
-//     (LRU, in-flight map, SimHash index) only helps duplicates it sees.
+//     the same shard, so that shard's byte-exact dedup state — its LRU
+//     cache and its in-flight coalescing map (serve/shard.h) — keeps
+//     absorbing them.
 //  3. Least-loaded fallback: when the hash-chosen shard's queue is
 //     saturated (depth >= queue_capacity), the request is re-routed to the
 //     pool's shallowest queue instead of being bounced with kUnavailable —
@@ -182,10 +179,6 @@ class RoutedServer {
   struct Route {
     std::string name;
     std::vector<std::unique_ptr<ServeShard>> shards;
-    // Dispatch-time copy of the pool's dedup config: non-strict routes
-    // hash the normalized payload so surface variants share a shard.
-    Exactness exactness = Exactness::kStrict;
-    NormalizeSpec normalize;
   };
 
   std::vector<Route> routes_;

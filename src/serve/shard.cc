@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -65,7 +63,6 @@ struct ServeShard::Obs {
   obs::Counter* cache_hits;
   obs::Counter* coalesced;
   obs::Counter* inflight_coalesced;
-  obs::Counter* neardup_hits;
   obs::Counter* batches;
   obs::Gauge* queue_depth;
   obs::Gauge* arrival_rate;
@@ -101,17 +98,12 @@ struct ServeShard::Obs {
                        "Response-cache lookup outcomes (hits + misses)");
     cache_hits = reg.GetCounter(
         "rpt_serve_cache_hits_total", label,
-        "Submit-time LRU hits plus in-batch coalesced duplicates");
-    coalesced =
-        reg.GetCounter("rpt_serve_coalesced_total", label,
-                       "Duplicates folded into one execution (in-batch "
-                       "plus in-flight joiners)");
+        "Submit-time LRU hits plus in-flight coalesced duplicates");
+    coalesced = reg.GetCounter("rpt_serve_coalesced_total", label,
+                               "Duplicates folded into one execution");
     inflight_coalesced = reg.GetCounter(
         "rpt_serve_inflight_coalesced_total", label,
         "Requests attached to an execution already queued or running");
-    neardup_hits = reg.GetCounter(
-        "rpt_serve_neardup_hits_total", label,
-        "Cache misses served from a SimHash near-duplicate entry");
     batches = reg.GetCounter("rpt_serve_batches_total", label,
                              "Model forward passes executed");
     queue_depth = reg.GetGauge("rpt_serve_queue_depth", label,
@@ -184,7 +176,6 @@ std::string ServerStatsSnapshot::Render(const std::string& name) const {
   counters.AddRow({"coalesced (dupes folded)", std::to_string(coalesced)});
   counters.AddRow({"coalesced in-flight (cross-batch)",
                    std::to_string(inflight_coalesced)});
-  counters.AddRow({"near-dup cache hits", std::to_string(neardup_hits)});
   counters.AddRow({"forward passes", std::to_string(batches)});
   counters.AddRow({"mean batch size", Fixed(mean_batch_size, 2)});
   if (adapt_adjustments > 0) {
@@ -222,7 +213,6 @@ ServerStatsSnapshot AggregateStats(
     total.cache_misses += p.cache_misses;
     total.coalesced += p.coalesced;
     total.inflight_coalesced += p.inflight_coalesced;
-    total.neardup_hits += p.neardup_hits;
     total.batches += p.batches;
     total.adapt_adjustments += p.adapt_adjustments;
     total.queue_depth += p.queue_depth;
@@ -267,13 +257,6 @@ ServeShard::ServeShard(std::shared_ptr<ModelSession> session,
       obs_(std::make_unique<Obs>(config_)) {
   RPT_CHECK(session_ != nullptr);
   RPT_CHECK_GE(config_.max_batch_size, 1u);
-  if (config_.exactness == Exactness::kNearDup && config_.cache_capacity > 0) {
-    const size_t index_capacity = config_.neardup_index_capacity > 0
-                                      ? config_.neardup_index_capacity
-                                      : config_.cache_capacity;
-    RPT_CHECK_GE(config_.neardup_max_hamming, 0);
-    neardup_index_ = std::make_unique<SimHashIndex>(index_capacity);
-  }
   obs_->effective_delay_us->Set(
       static_cast<double>(config_.max_batch_delay.count()));
   collector_ = std::thread([this] { CollectorLoop(); });
@@ -331,35 +314,8 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
     done(std::move(r));
     return;
   }
-  // Dedup identity: exact payload under kStrict, normalized payload
-  // otherwise (empty key means "same as input", avoiding the copy on the
-  // strict hot path and whenever normalization is the identity).
-  std::string key;
-  if (config_.exactness != Exactness::kStrict) {
-    key = NormalizeForDedup(input, config_.normalize);
-    if (key == input) key.clear();
-  }
-  const std::string& lookup_key = key.empty() ? input : key;
-
   if (config_.cache_capacity > 0) {
-    auto hit = cache_.Get(lookup_key);
-    bool near_dup = false;
-    if (!hit && neardup_index_ != nullptr) {
-      // Miss: probe the LSH index for a cached key within the Hamming
-      // threshold of this payload's signature. A stale candidate (evicted
-      // from the LRU since it was indexed) falls through to a plain miss.
-      const SimHash128 signature = ComputeSimHash(lookup_key);
-      std::optional<std::string> candidate;
-      {
-        std::lock_guard<std::mutex> lock(neardup_mu_);
-        candidate =
-            neardup_index_->FindNearest(signature, config_.neardup_max_hamming);
-      }
-      if (candidate && *candidate != lookup_key) {
-        hit = cache_.Get(*candidate);
-        near_dup = hit.has_value();
-      }
-    }
+    auto hit = cache_.Get(input);
     const auto looked_up = std::chrono::steady_clock::now();
     if (tracing) {
       RecordSpan("serve.cache_lookup", trace_id, tracer.NewSpanId(), root_span,
@@ -369,10 +325,6 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       obs_->cache_lookups->Increment();
       obs_->cache_hits->Increment();
-      if (near_dup) {
-        neardup_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs_->neardup_hits->Increment();
-      }
       ServeResponse r;
       r.output = std::move(*hit);
       r.cache_hit = true;
@@ -389,7 +341,6 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
 
   Pending p;
   p.input = std::move(input);
-  p.key = std::move(key);
   p.done = std::move(done);
   p.enqueued = submitted_at;
   // milliseconds::max() means "no deadline"; adding it to now() would
@@ -400,15 +351,14 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
   p.root_span = root_span;
 
   PushResult pushed;
-  if (config_.inflight_coalescing) {
+  {
     // The map insert and the queue push are one atomic step under
     // inflight_mu_ (lock order: inflight before the queue's internal
     // mutex, never the reverse), so an entry in the map always has a live
     // representative behind it and a failed push never leaks an entry a
     // joiner could attach to.
     std::unique_lock<std::mutex> lock(inflight_mu_);
-    const auto [it, inserted] =
-        inflight_.try_emplace(std::string(KeyOf(p)));
+    const auto [it, inserted] = inflight_.try_emplace(p.input);
     if (!inserted) {
       // Coalesce: attach to the execution already queued or running.
       // Joiners inherit the in-flight result and never extend (or apply)
@@ -432,8 +382,6 @@ void ServeShard::SubmitAsync(std::string input, ServeCallback done,
     }
     pushed = queue_.TryPush(std::move(p));
     if (pushed != PushResult::kOk) inflight_.erase(it);
-  } else {
-    pushed = queue_.TryPush(std::move(p));
   }
   if (pushed != PushResult::kOk) {
     // The queue distinguishes full from closed: a Shutdown() racing this
@@ -533,7 +481,7 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
       // Joiners share the representative's fate: its deadline governed the
       // execution they attached to, so they inherit the expiry rather than
       // re-enqueuing a pass the representative was not allowed to wait for.
-      std::vector<Joiner> joiners = TakeJoiners(KeyOf(p));
+      std::vector<Joiner> joiners = TakeJoiners(p.input);
       ServeResponse r;
       r.status = Status::DeadlineExceeded(
           "deadline passed while the request was queued");
@@ -552,10 +500,9 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
     // so a malformed or over-long payload fails its own request instead of
     // tripping a model-side check that would abort the process.
     if (Status valid = session_->Validate(p.input); !valid.ok()) {
-      // Joiners matched this payload's dedup key, so the validation
-      // verdict applies to them as well (under normalized keying they may
-      // differ in surface form only, which Validate ignores by intent).
-      std::vector<Joiner> joiners = TakeJoiners(KeyOf(p));
+      // Joiners submitted these exact bytes, so the validation verdict
+      // applies to them as well.
+      std::vector<Joiner> joiners = TakeJoiners(p.input);
       ServeResponse r;
       r.status = std::move(valid);
       r.latency_ms = ElapsedMs(p.enqueued, now);
@@ -576,29 +523,12 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
   controller_.OnBatchComplete(max_queue_wait_ms, live.size());
 
   if (!live.empty()) {
-    // Within-batch coalescing: payloads with one dedup key ride one model
-    // execution and the single output fans out to every duplicate's
-    // promise. (With in-flight coalescing on, duplicates normally attach
-    // upstream and never co-occupy a batch; this stays as the guarantee
-    // for the coalescing-off configuration and as defense in depth.)
-    std::vector<std::string> inputs;       // unique payloads, first-seen order
-    std::vector<size_t> slot(live.size());  // live index -> inputs index
-    std::vector<bool> is_dupe(live.size(), false);
-    std::vector<const Pending*> slot_rep;  // first-seen request per slot
-    std::unordered_map<std::string_view, size_t> first_seen;
-    first_seen.reserve(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      const auto [it, inserted] =
-          first_seen.try_emplace(KeyOf(*live[i]), inputs.size());
-      if (inserted) {
-        inputs.push_back(live[i]->input);
-        slot_rep.push_back(live[i]);
-      } else {
-        is_dupe[i] = true;
-      }
-      slot[i] = it->second;
-    }
-    const uint64_t newly_coalesced = live.size() - inputs.size();
+    // Every live request carries a distinct payload: a duplicate submitted
+    // while its twin was queued attached to the twin's in-flight entry
+    // instead of enqueuing, so the batch's payloads go to the model as is.
+    std::vector<std::string> inputs;
+    inputs.reserve(live.size());
+    for (Pending* p : live) inputs.push_back(std::move(p->input));
 
     // The collector runs the pass under the first live request's execute-
     // span context, so model-layer stage spans (encode, prefill, decode
@@ -618,97 +548,75 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
     RPT_CHECK_EQ(outputs.size(), inputs.size())
         << "session returned a mismatched batch";
     const auto done = std::chrono::steady_clock::now();
+    const auto rows = static_cast<int64_t>(inputs.size());
     obs_->execute_ms->Observe(ElapsedMs(run_begin, done));
-    obs_->batch_rows->Observe(static_cast<double>(inputs.size()));
+    obs_->batch_rows->Observe(static_cast<double>(rows));
     obs_->batches->Increment();
-    // The cache is populated under each slot's dedup key *before* its
-    // in-flight entry is resolved: a concurrent submit either attaches to
-    // the entry (and is completed below) or, once the entry is gone, finds
-    // the response already cached — no window re-runs the pass.
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      const std::string slot_key(KeyOf(*slot_rep[j]));
-      cache_.Put(slot_key, outputs[j]);
-      if (neardup_index_ != nullptr) {
-        const SimHash128 signature = ComputeSimHash(slot_key);
-        std::lock_guard<std::mutex> lock(neardup_mu_);
-        neardup_index_->Add(signature, slot_key);
-      }
+    // The cache is populated *before* each in-flight entry is resolved: a
+    // concurrent submit either attaches to the entry (and is completed
+    // below) or, once the entry is gone, finds the response already cached
+    // — no window re-runs the pass.
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      cache_.Put(inputs[i], outputs[i]);
     }
-    std::vector<std::vector<Joiner>> slot_joiners(inputs.size());
+    std::vector<std::vector<Joiner>> joiners(inputs.size());
     size_t joiner_count = 0;
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      slot_joiners[j] = TakeJoiners(KeyOf(*slot_rep[j]));
-      joiner_count += slot_joiners[j].size();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      joiners[i] = TakeJoiners(inputs[i]);
+      joiner_count += joiners[i].size();
     }
     obs_->completed->Increment(live.size() + joiner_count);
     std::vector<double> lats;
     lats.reserve(live.size() + joiner_count);
-    // First execute-span id per unique payload: coalesced duplicates carry
-    // a follows-from link to the execution they actually rode, which lives
-    // in the representative request's trace.
-    std::vector<uint64_t> slot_exec_trace(inputs.size(), 0);
-    std::vector<uint64_t> slot_exec_span(inputs.size(), 0);
     for (size_t i = 0; i < live.size(); ++i) {
+      Pending& p = *live[i];
       ServeResponse r;
-      r.output = outputs[slot[i]];
-      r.latency_ms = ElapsedMs(live[i]->enqueued, done);
-      r.batch_size = static_cast<int64_t>(inputs.size());
-      r.cache_hit = is_dupe[i];
+      r.output = outputs[i];
+      r.latency_ms = ElapsedMs(p.enqueued, done);
+      r.batch_size = rows;
       lats.push_back(r.latency_ms);
       obs_->latency_ms->Observe(r.latency_ms);
-      live[i]->done(std::move(r));
-      if (tracing && live[i]->trace_id != 0) {
-        // Per-request view of the shared batch: formation (validation +
-        // coalescing), execution, and the submit->completion root.
-        RecordSpan("serve.batch", live[i]->trace_id, tracer.NewSpanId(),
-                   live[i]->root_span, now, run_begin);
-        const uint64_t exec_span =
-            (i == 0 && rep_exec_span != 0) ? rep_exec_span
-                                           : tracer.NewSpanId();
-        if (!is_dupe[i]) {
-          slot_exec_trace[slot[i]] = live[i]->trace_id;
-          slot_exec_span[slot[i]] = exec_span;
-          RecordSpan("serve.execute", live[i]->trace_id, exec_span,
-                     live[i]->root_span, run_begin, done);
-        } else {
-          RecordSpan("serve.execute", live[i]->trace_id, exec_span,
-                     live[i]->root_span, run_begin, done,
-                     slot_exec_trace[slot[i]], slot_exec_span[slot[i]]);
-        }
-        RecordSpan("serve.submit", live[i]->trace_id, live[i]->root_span, 0,
-                   live[i]->enqueued, done);
+      uint64_t exec_span = 0;
+      if (tracing && p.trace_id != 0) {
+        // Per-request view of the shared batch: formation (validation),
+        // execution, and the submit->completion root.
+        RecordSpan("serve.batch", p.trace_id, tracer.NewSpanId(), p.root_span,
+                   now, run_begin);
+        exec_span = (i == 0 && rep_exec_span != 0) ? rep_exec_span
+                                                   : tracer.NewSpanId();
+        RecordSpan("serve.execute", p.trace_id, exec_span, p.root_span,
+                   run_begin, done);
+        RecordSpan("serve.submit", p.trace_id, p.root_span, 0, p.enqueued,
+                   done);
+      }
+      p.done(std::move(r));
+      // In-flight joiners get a copy of this row's output and a follows-
+      // from link to the execution span it came from (recorded in this
+      // request's trace, possibly batches after the joiner arrived).
+      if (!joiners[i].empty()) {
+        ServeResponse base;
+        base.output = outputs[i];
+        base.batch_size = rows;
+        base.cache_hit = true;
+        CompleteJoiners(std::move(joiners[i]), base, done, p.trace_id,
+                        exec_span, &lats);
       }
     }
-    // In-flight joiners: the cross-batch counterpart of the fan-out above.
-    // Each joiner gets a copy of its slot's output and a follows-from link
-    // to the execution span it rode (recorded in the representative's
-    // trace, possibly batches ago from the joiner's point of view).
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      if (slot_joiners[j].empty()) continue;
-      ServeResponse base;
-      base.output = outputs[j];
-      base.batch_size = static_cast<int64_t>(inputs.size());
-      base.cache_hit = true;
-      CompleteJoiners(std::move(slot_joiners[j]), base, done,
-                      slot_exec_trace[j], slot_exec_span[j], &lats);
+    if (joiner_count > 0 && config_.cache_capacity > 0) {
+      // A joiner's submit-time miss becomes a hit on the execution it
+      // rode, keeping hits + misses == one lookup outcome per admitted
+      // request. The registry's cache_hits counter gets the same credit;
+      // its lookup was already counted at submit time.
+      cache_hits_.fetch_add(joiner_count, std::memory_order_relaxed);
+      cache_misses_.fetch_sub(joiner_count, std::memory_order_relaxed);
+      obs_->cache_hits->Increment(joiner_count);
     }
-    const uint64_t folded = newly_coalesced + joiner_count;
-    if (folded > 0 && config_.cache_capacity > 0) {
-      // A duplicate's submit-time miss becomes a hit on the result it
-      // rode (batch-mate or in-flight execution), keeping hits + misses
-      // == one lookup outcome per admitted request. The registry's
-      // cache_hits counter gets the same credit; its lookup was already
-      // counted at submit time.
-      cache_hits_.fetch_add(folded, std::memory_order_relaxed);
-      cache_misses_.fetch_sub(folded, std::memory_order_relaxed);
-      obs_->cache_hits->Increment(folded);
-    }
-    obs_->coalesced->Increment(folded);
+    obs_->coalesced->Increment(joiner_count);
     std::lock_guard<std::mutex> lock(stats_mu_);
     completed_ += live.size() + joiner_count;
     expired_ += newly_expired;
     invalid_ += newly_invalid;
-    coalesced_ += folded;
+    coalesced_ += joiner_count;
     ++batches_;
     ++batch_hist_[inputs.size()];
     for (const double lat : lats) latencies_ms_.Add(lat);
@@ -719,10 +627,10 @@ void ServeShard::CompleteBatch(std::vector<Pending>* batch) {
   }
 }
 
-std::vector<ServeShard::Joiner> ServeShard::TakeJoiners(std::string_view key) {
-  if (!config_.inflight_coalescing) return {};
+std::vector<ServeShard::Joiner> ServeShard::TakeJoiners(
+    const std::string& input) {
   std::lock_guard<std::mutex> lock(inflight_mu_);
-  const auto it = inflight_.find(std::string(key));
+  const auto it = inflight_.find(input);
   if (it == inflight_.end()) return {};
   std::vector<Joiner> joiners = std::move(it->second);
   inflight_.erase(it);
@@ -774,7 +682,6 @@ ServerStatsSnapshot ServeShard::Stats() const {
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.inflight_coalesced = inflight_coalesced_.load(std::memory_order_relaxed);
-  s.neardup_hits = neardup_hits_.load(std::memory_order_relaxed);
   s.queue_depth = queue_.size();
   const uint64_t lookups = s.cache_hits + s.cache_misses;
   if (lookups > 0) {

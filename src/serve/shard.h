@@ -2,9 +2,8 @@
 //
 // One shard owns one ModelSession, one bounded request queue, one collector
 // thread that drains the queue into dynamic micro-batches, one LRU response
-// cache, and one set of counters. It is the unit both serving front-ends are
-// built from: InferenceServer (serve/server.h) is exactly one shard behind
-// the original single-session API, and RoutedServer (serve/routed_server.h)
+// cache, and one set of counters. It is the serving unit: single-session
+// callers use a shard directly, and RoutedServer (serve/routed_server.h)
 // fans requests out over named pools of shards.
 //
 // Scheduling semantics: micro-batches gather up to `max_batch_size`
@@ -24,6 +23,27 @@
 // window of that length. Outputs are unaffected — the window only moves
 // *when* a batch closes, never what the model computes.
 //
+// Dedup is byte-exact. Two requests are "the same" only when their payloads
+// are identical bytes, so every served response is the model's answer for
+// the exact payload submitted. A session payload's field order carries
+// meaning (the cleaner's column index, which attribute holds which value),
+// so no normalization of it is ever safe to key on. Two layers absorb
+// repeats:
+//
+//  * The LRU response cache (`cache_capacity`) answers a payload the model
+//    has already run, at submit time.
+//  * In-flight coalescing: a request whose payload matches one already
+//    queued *or executing* attaches an extra completion callback to the
+//    pending entry instead of enqueuing a second forward pass. Joiners
+//    share the fate of the in-flight execution: they inherit its result
+//    (or its deadline/validation failure) and never extend its deadline —
+//    a late joiner's own timeout is not consulted once attached. Joiners
+//    count as `inflight_coalesced` and `coalesced`, convert their
+//    submit-time miss into a hit, and carry a follows-from trace link to
+//    the execution they rode. Because an in-flight entry lives from push
+//    until its batch completes, no micro-batch ever holds one payload
+//    twice.
+//
 // Accounting rules the counters obey:
 //  * a cache miss is counted only once the request is actually enqueued —
 //    a queue-full rejection is not a lookup outcome, so backpressure cannot
@@ -32,41 +52,9 @@
 //    queue-full `rejected`;
 //  * cache-hit responses carry the submit→return latency, so client-side
 //    latency accounting is consistent across hit and miss paths;
-//  * identical payloads inside one micro-batch are coalesced into a single
-//    model execution whose output fans out to every duplicate. Duplicates
-//    count as `coalesced` and (when the cache is enabled) convert their
-//    submit-time miss into a hit, preserving the invariant that each
-//    admitted request contributes exactly one lookup outcome.
-//
-// Semantic dedup (in-flight coalescing + near-duplicate cache):
-//
-// Under heavy dirty-tuple traffic the same payload arrives seconds apart
-// and across micro-batches, and near-identical payloads (whitespace,
-// casing, reordered attributes) arrive constantly. Three layers absorb
-// them, gated by `ServerConfig::exactness`:
-//
-//  * In-flight coalescing (`inflight_coalescing`, on by default, exactness-
-//    independent — matching is by dedup key, which under kStrict is the
-//    exact payload, so outputs stay bit-identical): a request whose key
-//    matches one already queued *or executing* attaches an extra completion
-//    callback to the pending entry instead of enqueuing a second forward
-//    pass. Joiners share the fate of the in-flight execution: they inherit
-//    its result (or its deadline/validation failure) and never extend its
-//    deadline — a late joiner's own timeout is not consulted once attached.
-//    Joiners count as `inflight_coalesced` (and fold into `coalesced` when
-//    the execution completes), convert their submit-time miss into a hit,
-//    and carry a follows-from trace link to the execution they rode.
-//  * Normalized keying (kNormalized): the response cache, the in-flight
-//    map, and the cross-shard routing hash key on
-//    NormalizeForDedup(payload, `normalize`) — trim/case-fold/attribute-
-//    sort variants of one tuple collapse onto one cache line. The model
-//    always runs the representative's *original* payload.
-//  * Near-duplicate cache (kNearDup): normalized keying plus a SimHash LSH
-//    band index (util/simhash.h) in front of the LRU. A miss probes the
-//    index for a cached key within `neardup_max_hamming` signature bits
-//    and serves that entry's response on success (`neardup_hits`). Off —
-//    along with normalization — at kStrict, where every served byte is
-//    exactly the model's answer for the exact payload submitted.
+//  * each admitted request contributes exactly one lookup outcome (when the
+//    cache is enabled): a joiner's submit-time miss becomes a hit when the
+//    execution it rode completes.
 
 #ifndef RPT_SERVE_SHARD_H_
 #define RPT_SERVE_SHARD_H_
@@ -80,7 +68,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -91,28 +78,9 @@
 #include "serve/model_session.h"
 #include "serve/reservoir.h"
 #include "util/bounded_queue.h"
-#include "util/simhash.h"
 #include "util/status.h"
 
 namespace rpt {
-
-/// How literally the dedup layers treat a payload when deciding that two
-/// requests are "the same" (see the header comment).
-enum class Exactness {
-  /// Exact bytes only: the cache and the in-flight map key on the payload
-  /// itself, and the near-duplicate index is fully off. Every served
-  /// response is the model's answer for the exact payload submitted.
-  kStrict,
-  /// Key on NormalizeForDedup(payload, config.normalize): whitespace,
-  /// casing, and (optionally) attribute-order variants of one tuple share
-  /// one cache/coalescing identity. The representative's original payload
-  /// is what the model runs.
-  kNormalized,
-  /// kNormalized plus a SimHash LSH index in front of the LRU: a cache
-  /// miss may be served from a cached near-duplicate within
-  /// `neardup_max_hamming` signature bits.
-  kNearDup,
-};
 
 struct ServerConfig {
   /// Largest micro-batch handed to the session in one forward pass.
@@ -148,24 +116,6 @@ struct ServerConfig {
   /// -1 leaves it unpinned. RoutedServer can assign these round-robin
   /// (RouteSpec::pin_collectors).
   int cpu_affinity = -1;
-  /// Dedup exactness knob (see the enum). RoutedServer also reads it: a
-  /// non-strict route shards by the normalized payload hash, so variants
-  /// of one tuple land on the shard whose cache can absorb them.
-  Exactness exactness = Exactness::kStrict;
-  /// Canonicalization used by kNormalized/kNearDup keying (ignored under
-  /// kStrict).
-  NormalizeSpec normalize;
-  /// kNearDup only: serve a cached near-duplicate when its SimHash is
-  /// within this many bits (of 128) of the request's.
-  int neardup_max_hamming = 6;
-  /// kNearDup only: entries the LSH index retains (ring-evicted). 0 sizes
-  /// it to cache_capacity.
-  size_t neardup_index_capacity = 0;
-  /// Attach requests whose dedup key matches an in-flight execution to
-  /// that execution instead of enqueuing a second forward pass. Safe at
-  /// every exactness level (kStrict matches exact bytes only); off only
-  /// for A/B measurement.
-  bool inflight_coalescing = true;
 };
 
 /// Outcome of one request.
@@ -173,7 +123,7 @@ struct ServeResponse {
   Status status;          // Ok, Unavailable (rejected), DeadlineExceeded
   std::string output;     // session output; empty unless status.ok()
   double latency_ms = 0;  // submit -> completion, as seen by the server
-  bool cache_hit = false;  // served from the LRU, or coalesced in-batch
+  bool cache_hit = false;  // served from the LRU, or coalesced in flight
   int64_t batch_size = 0;  // rows of the forward pass this rode in (0 if
                            // it never reached the model)
 };
@@ -187,13 +137,11 @@ struct ServerStatsSnapshot {
   uint64_t shutdown_rejected = 0;  // submitted after Shutdown()
   uint64_t expired = 0;            // deadline passed while queued
   uint64_t invalid = 0;    // failed session Validate (kInvalidArgument)
-  uint64_t cache_hits = 0;  // submit-time LRU hits + coalesced duplicates
+  uint64_t cache_hits = 0;  // submit-time LRU hits + in-flight joiners
   uint64_t cache_misses = 0;
   uint64_t coalesced = 0;  // duplicates folded into one execution
-                           // (in-batch + in-flight joiners)
   uint64_t inflight_coalesced = 0;  // requests attached to an execution
                                     // already queued or running
-  uint64_t neardup_hits = 0;  // misses served from a SimHash near-duplicate
   uint64_t batches = 0;       // forward passes executed
   uint64_t adapt_adjustments = 0;  // straggler-window changes (0 when
                                    // min_batch_delay == max_batch_delay)
@@ -286,10 +234,7 @@ class ServeShard {
 
  private:
   struct Pending {
-    std::string input;
-    // Dedup identity: empty means "same as input" (the common case under
-    // kStrict, where the key is the exact payload).
-    std::string key;
+    std::string input;  // also the dedup key: dedup is byte-exact
     ServeCallback done;  // invoked exactly once with the response
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
@@ -315,16 +260,11 @@ class ServeShard {
   // pull in the obs layer.
   struct Obs;
 
-  /// Dedup identity of one pending request (see Pending::key).
-  static std::string_view KeyOf(const Pending& p) {
-    return p.key.empty() ? std::string_view(p.input) : std::string_view(p.key);
-  }
-
   void CollectorLoop();
   void CompleteBatch(std::vector<Pending>* batch);
-  /// Removes `key`'s in-flight entry and returns its joiners (empty when
-  /// coalescing is off or nobody attached).
-  std::vector<Joiner> TakeJoiners(std::string_view key);
+  /// Removes `input`'s in-flight entry and returns its joiners (empty when
+  /// nobody attached).
+  std::vector<Joiner> TakeJoiners(const std::string& input);
   /// Completes `joiners` with copies of a decided response (status or
   /// output shared with the representative), stamping per-joiner latency
   /// and a follows-from trace link to the execution span they rode (when
@@ -339,20 +279,15 @@ class ServeShard {
   ServerConfig config_;
   const Clock* clock_;  // config_.clock or SystemClock(); never null
   BoundedQueue<Pending> queue_;
-  // Keyed by dedup key (exact payload under kStrict, normalized payload
-  // otherwise).
+  // Keyed by the exact payload.
   LruCache<std::string, std::string> cache_;
-  // In-flight coalescing: dedup key -> callbacks of the requests that
+  // In-flight coalescing: payload -> callbacks of the requests that
   // attached to the pending execution. An entry exists exactly while a
-  // representative Pending with that key is queued or executing. Lock
+  // representative Pending with that payload is queued or executing. Lock
   // order: inflight_mu_ may be held while touching the queue (TryPush),
   // never the reverse.
   std::mutex inflight_mu_;
   std::unordered_map<std::string, std::vector<Joiner>> inflight_;
-  // kNearDup only: SimHash LSH index over cached keys, guarded by its own
-  // mutex (probed on submit threads, appended on the collector).
-  std::mutex neardup_mu_;
-  std::unique_ptr<SimHashIndex> neardup_index_;
   // Arrival estimator feeds the rpt_serve_arrival_rate_rps gauge (decayed
   // on read) and the controller's delay decisions.
   ArrivalRateEstimator arrivals_;
@@ -369,7 +304,6 @@ class ServeShard {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> inflight_coalesced_{0};
-  std::atomic<uint64_t> neardup_hits_{0};
   mutable std::mutex stats_mu_;
   uint64_t completed_ = 0;
   uint64_t expired_ = 0;

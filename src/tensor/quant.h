@@ -6,7 +6,7 @@
 // Activations stay fp32 and accumulation is fp32, so the only error source
 // is the weight rounding.
 //
-// Exactness-vs-tolerance contract (an explicit knob, not a silent
+// The exactness-vs-tolerance contract (an explicit knob, not a silent
 // approximation):
 //   * fp32 GEMM (scalar dispatch)  — bit-exact reference.
 //   * fp32 GEMM (AVX2 dispatch)    — reassociation-level error, <= ~1e-4.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <memory>
@@ -21,9 +22,9 @@
 
 #include "serve/adaptive.h"
 #include "serve/reservoir.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
 #include "serve/shard.h"
+#include "util/rng.h"
 
 namespace rpt {
 namespace {
@@ -108,6 +109,41 @@ TEST(ArrivalRateEstimatorTest, NoArrivalsReadsZero) {
   FakeClock clock;
   ArrivalRateEstimator estimator;
   EXPECT_DOUBLE_EQ(estimator.RateAt(clock.Now()), 0.0);
+}
+
+TEST(ArrivalRateEstimatorTest, UnbiasedUnderPoissonArrivals) {
+  // Seeded exponential gaps at 200 req/s. An EWMA of 1/gap is dominated by
+  // the short gaps and reads this stream at roughly twice the true rate
+  // (above 500 req/s on over a third of arrivals); the inverse of the
+  // smoothed gap centres on 200. A single reading still carries the
+  // EWMA's ~23% spread at alpha 0.1, so the bounds are on the median and
+  // the mean, plus a cap on how often a reading is wildly high.
+  FakeClock clock;
+  ArrivalRateEstimator estimator;
+  Rng rng(0xA441);
+  constexpr double kRate = 200.0;
+  constexpr int kWarmup = 100;
+  constexpr int kArrivals = 5000;
+  std::vector<double> estimates;
+  estimates.reserve(kArrivals);
+  for (int i = 0; i < kWarmup + kArrivals; ++i) {
+    const double gap_s = -std::log(1.0 - rng.UniformDouble()) / kRate;
+    clock.Advance(microseconds(static_cast<int64_t>(gap_s * 1e6)));
+    estimator.OnArrival(clock.Now());
+    if (i >= kWarmup) estimates.push_back(estimator.RateAt(clock.Now()));
+  }
+  double sum = 0;
+  int above_500 = 0;
+  for (const double e : estimates) {
+    sum += e;
+    if (e > 500.0) ++above_500;
+  }
+  std::sort(estimates.begin(), estimates.end());
+  const double median = estimates[estimates.size() / 2];
+  const double mean = sum / static_cast<double>(estimates.size());
+  EXPECT_NEAR(median, kRate, 0.15 * kRate);
+  EXPECT_NEAR(mean, kRate, 0.15 * kRate);
+  EXPECT_LT(above_500, kArrivals / 100);
 }
 
 // ---- AdaptiveBatchController ------------------------------------------------
@@ -394,7 +430,7 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
                                                       microseconds(10));
     ServerConfig config = AdaptiveServerConfig();
     if (fixed_window) config.min_batch_delay = config.max_batch_delay;
-    InferenceServer server(session, config);
+    ServeShard server(session, config);
     std::map<std::string, std::string> outputs;
     std::vector<std::future<ServeResponse>> futures;
     futures.reserve(inputs.size());
@@ -416,7 +452,7 @@ TEST(AdaptiveServeTest, AdaptiveOutputsBitIdenticalToFixed) {
 TEST(AdaptiveServeTest, ControllerRunsAndExportsAdjustments) {
   auto session = std::make_shared<SyntheticSession>(microseconds(100),
                                                     microseconds(10));
-  InferenceServer server(session, AdaptiveServerConfig());
+  ServeShard server(session, AdaptiveServerConfig());
   std::vector<std::future<ServeResponse>> futures;
   for (int burst = 0; burst < 4; ++burst) {
     for (int i = 0; i < 24; ++i) {
@@ -446,7 +482,7 @@ TEST(AdaptiveServeTest, ReservoirBoundsShardStatsMemory) {
   config.min_batch_delay = config.max_batch_delay;  // fixed window
   config.queue_capacity = 8192;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
   constexpr int kRequests = 6000;  // well past the 4096-sample cap
   std::vector<std::future<ServeResponse>> futures;
   futures.reserve(kRequests);
@@ -478,7 +514,7 @@ TEST(AdaptiveServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
     config.min_batch_delay = config.max_batch_delay;  // fixed window
     config.queue_capacity = 1 << 20;  // cannot fill in this test
     config.cache_capacity = 0;
-    InferenceServer server(session, config);
+    ServeShard server(session, config);
 
     constexpr int kThreads = 4;
     std::atomic<bool> stop{false};
@@ -487,8 +523,9 @@ TEST(AdaptiveServeTest, SubmitRacingShutdownNeverCountsQueueFull) {
     for (int t = 0; t < kThreads; ++t) {
       clients.emplace_back([&, t] {
         for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-          ServeResponse r = server.SubmitWait("t" + std::to_string(t) + "_" +
-                                              std::to_string(i));
+          ServeResponse r =
+              server.Submit("t" + std::to_string(t) + "_" + std::to_string(i))
+                  .get();
           if (r.status.ok()) {
             ok.fetch_add(1);
           } else if (r.status.message().find("shut down") !=

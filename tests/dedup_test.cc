@@ -1,9 +1,8 @@
-// Tests for the semantic dedup stack: SimHash signatures and the LSH band
-// index (util/simhash.h), corpus-scale near-duplicate removal
-// (corpus/dedup.h), and the serving layer's three dedup layers — in-flight
-// coalescing, normalized keying, and the near-duplicate cache
-// (serve/shard.h). The concurrency tests double as the tsan target for the
-// inflight_mu_ / queue / collector interleavings.
+// Tests for the serving layer's byte-exact dedup (serve/shard.h): in-flight
+// coalescing of identical payloads, and the guarantee that a payload
+// differing in any byte never shares another payload's answer. The
+// concurrency tests double as the tsan target for the inflight_mu_ / queue
+// / collector interleavings.
 
 #include <atomic>
 #include <chrono>
@@ -17,11 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include "corpus/dedup.h"
-#include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
-#include "util/simhash.h"
+#include "serve/shard.h"
 
 namespace rpt {
 namespace {
@@ -79,197 +75,6 @@ std::string Fields(std::vector<std::string> fields) {
   return out;
 }
 
-// ---- NormalizeForDedup ------------------------------------------------------
-
-TEST(NormalizeTest, TrimCollapsesWhitespace) {
-  NormalizeSpec spec;
-  spec.case_fold = false;
-  spec.attribute_sort = false;
-  EXPECT_EQ(NormalizeForDedup("  a   b \t c  ", spec), "a b c");
-  EXPECT_EQ(NormalizeForDedup(Fields({" x ", "y  z"}), spec),
-            Fields({"x", "y z"}));
-}
-
-TEST(NormalizeTest, CaseFoldIsAsciiLower) {
-  NormalizeSpec spec;
-  spec.trim = false;
-  spec.attribute_sort = false;
-  EXPECT_EQ(NormalizeForDedup("MacBook PRO", spec), "macbook pro");
-}
-
-TEST(NormalizeTest, AttributeSortIsPerRecord) {
-  NormalizeSpec spec;  // all knobs on
-  // Fields of one record sort; record order is preserved (a matcher pair
-  // (a, b) is not the pair (b, a)).
-  const std::string rec1 = Fields({"b", "a"});
-  const std::string rec2 = Fields({"z", "c"});
-  const std::string payload = rec1 + '\x1e' + rec2;
-  EXPECT_EQ(NormalizeForDedup(payload, spec),
-            Fields({"a", "b"}) + '\x1e' + Fields({"c", "z"}));
-  EXPECT_NE(NormalizeForDedup(rec1 + '\x1e' + rec2, spec),
-            NormalizeForDedup(rec2 + '\x1e' + rec1, spec));
-}
-
-TEST(NormalizeTest, AllKnobsOffIsIdentity) {
-  NormalizeSpec spec;
-  spec.trim = false;
-  spec.case_fold = false;
-  spec.attribute_sort = false;
-  const std::string payload = "  MiXeD   Case \x1f b \x1f a ";
-  EXPECT_EQ(NormalizeForDedup(payload, spec), payload);
-}
-
-// ---- SimHash ----------------------------------------------------------------
-
-TEST(SimHashTest, DeterministicAndSelfDistanceZero) {
-  const SimHash128 a = ComputeSimHash("alpha beta gamma delta");
-  const SimHash128 b = ComputeSimHash("alpha beta gamma delta");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(HammingDistance(a, b), 0);
-  EXPECT_EQ(SimHash64("alpha beta gamma delta"), a.lo);
-}
-
-TEST(SimHashTest, NormalizedVariantsShareASignature) {
-  // Signatures are computed over normalized text; the normalization that
-  // the serving layer applies must make surface variants bit-identical.
-  NormalizeSpec spec;
-  const std::string a =
-      NormalizeForDedup(Fields({"Apple Inc", "Cupertino", "1976"}), spec);
-  const std::string b = NormalizeForDedup(
-      Fields({"  cupertino", "1976 ", "apple   inc"}), spec);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(HammingDistance(ComputeSimHash(a), ComputeSimHash(b)), 0);
-}
-
-TEST(SimHashTest, HammingGrowsWithPerturbation) {
-  // Monotone-ish by construction: a one-token edit flips few bits, an
-  // unrelated payload flips ~64. We assert the ordering, not exact counts.
-  const std::string base =
-      "intel core i7 9700k 8 cores 3.6 ghz lga1151 processor retail";
-  const SimHash128 sig = ComputeSimHash(base);
-  const int d_small = HammingDistance(
-      sig, ComputeSimHash(
-               "intel core i7 9700kf 8 cores 3.6 ghz lga1151 processor "
-               "retail"));
-  const int d_large = HammingDistance(
-      sig, ComputeSimHash("完全 different unrelated text about gardening "
-                          "tools and rubber boots on sale"));
-  EXPECT_GT(d_small, 0);
-  EXPECT_LT(d_small, d_large);
-  EXPECT_GT(d_large, 20);
-}
-
-TEST(SimHashTest, EmptyAndDegenerateTexts) {
-  const SimHash128 empty = ComputeSimHash("");
-  EXPECT_EQ(empty, SimHash128{});
-  // Below one shingle: still deterministic, still nonzero.
-  const SimHash128 one = ComputeSimHash("solo");
-  EXPECT_EQ(one, ComputeSimHash("solo"));
-  EXPECT_NE(one, SimHash128{});
-}
-
-// ---- SimHashIndex -----------------------------------------------------------
-
-TEST(SimHashIndexTest, FindsNearNeverPastThreshold) {
-  SimHashIndex index(16);
-  const std::string text =
-      "sony wh 1000xm4 wireless noise cancelling headphones black";
-  const SimHash128 sig = ComputeSimHash(text);
-  index.Add(sig, "key0");
-
-  // Exact signature: distance 0 hit.
-  EXPECT_EQ(index.FindNearest(sig, 0).value_or(""), "key0");
-
-  // A signature exactly max_hamming+1 bits away must never be returned:
-  // flip d bits and probe with threshold d-1.
-  SimHash128 far = sig;
-  for (int b = 0; b < 7; ++b) far.lo ^= (1ull << (b * 9));
-  EXPECT_EQ(HammingDistance(sig, far), 7);
-  EXPECT_FALSE(index.FindNearest(far, 6).has_value());
-  // Within threshold (7 <= 7) the banding guarantee (d < kBands = 8)
-  // applies, so the probe must find it.
-  EXPECT_EQ(index.FindNearest(far, 7).value_or(""), "key0");
-}
-
-TEST(SimHashIndexTest, RingEvictsOldest) {
-  SimHashIndex index(2);
-  const SimHash128 a = ComputeSimHash("first entry payload text");
-  const SimHash128 b = ComputeSimHash("second entry other words");
-  const SimHash128 c = ComputeSimHash("third entry more content");
-  index.Add(a, "a");
-  index.Add(b, "b");
-  EXPECT_EQ(index.size(), 2u);
-  index.Add(c, "c");  // overwrites "a"
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_FALSE(index.FindNearest(a, 0).has_value());
-  EXPECT_EQ(index.FindNearest(b, 0).value_or(""), "b");
-  EXPECT_EQ(index.FindNearest(c, 0).value_or(""), "c");
-}
-
-TEST(SimHashIndexTest, TiesPreferOldest) {
-  SimHashIndex index(8);
-  const SimHash128 sig = ComputeSimHash("identical signature payload");
-  index.Add(sig, "older");
-  index.Add(sig, "newer");
-  EXPECT_EQ(index.FindNearest(sig, 4).value_or(""), "older");
-}
-
-// ---- corpus::DedupCorpus ----------------------------------------------------
-
-// A product description long enough that a one-token edit lands within the
-// LSH banding guarantee (signature distance < kBands): the serve and corpus
-// near-dup tests share it so their thresholds rest on the same measured
-// distance (9 bits of 128 for kNearVariant).
-constexpr const char kLongDoc[] =
-    "intel core i7 9700k desktop processor with 8 cores and 16 threads "
-    "running at 3.6 ghz base clock on the lga1151 socket retail boxed "
-    "with stock cooler three year limited warranty supports ddr4 2666 "
-    "memory dual channel and uhd graphics 630 integrated gpu";
-constexpr const char kNearVariant[] =
-    "intel core i7 9700kf desktop processor with 8 cores and 16 threads "
-    "running at 3.6 ghz base clock on the lga1151 socket retail boxed "
-    "with stock cooler three year limited warranty supports ddr4 2666 "
-    "memory dual channel and uhd graphics 630 integrated gpu";
-
-TEST(CorpusDedupTest, DropsExactAndNearDuplicates) {
-  const std::vector<std::string> docs = {
-      kLongDoc,
-      "Intel  Core i7 9700K DESKTOP processor with 8 cores and 16 threads "
-      "running at 3.6 GHz base clock on the LGA1151 socket retail boxed "
-      "with stock cooler three year limited warranty supports DDR4 2666 "
-      "memory dual channel and UHD graphics 630 integrated gpu",  // exact
-                                                                  // after
-                                                                  // normalize
-      "Microsoft Surface Laptop 5 13.5 inch touchscreen platinum",
-      kNearVariant,  // near dup: one token differs
-      "Zebra Technologies barcode label printer industrial",
-  };
-  corpus::DedupConfig config;
-  config.max_hamming = 12;
-  const corpus::DedupResult result = corpus::DedupCorpus(docs, config);
-  EXPECT_EQ(result.exact_duplicates, 1u);
-  EXPECT_EQ(result.near_duplicates, 1u);
-  EXPECT_EQ(result.dropped(), 2u);
-  ASSERT_EQ(result.kept.size(), 3u);
-  EXPECT_EQ(result.kept[0], 0u);  // first occurrence wins
-  EXPECT_EQ(result.kept[1], 2u);
-  EXPECT_EQ(result.kept[2], 4u);
-}
-
-TEST(CorpusDedupTest, ZeroHammingKeepsNearVariants) {
-  const std::vector<std::string> docs = {
-      "alpha beta gamma delta epsilon",
-      "alpha beta gamma delta zeta",  // near, not exact
-      "alpha beta gamma delta epsilon",
-  };
-  corpus::DedupConfig config;
-  config.max_hamming = 0;
-  const corpus::DedupResult result = corpus::DedupCorpus(docs, config);
-  EXPECT_EQ(result.exact_duplicates, 1u);
-  EXPECT_EQ(result.near_duplicates, 0u);
-  EXPECT_EQ(result.kept.size(), 2u);
-}
-
 // ---- In-flight coalescing ---------------------------------------------------
 
 TEST(InflightCoalescingTest, JoinerRidesThePinnedExecution) {
@@ -278,7 +83,7 @@ TEST(InflightCoalescingTest, JoinerRidesThePinnedExecution) {
   config.max_batch_size = 1;
   config.queue_capacity = 16;
   config.cache_capacity = 8;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // First submit is popped by the collector and wedges on the gate; the
   // entry for its key stays in the in-flight map the whole time.
@@ -314,7 +119,7 @@ TEST(InflightCoalescingTest, JoinerInheritsDeadlineExpiry) {
   config.max_batch_size = 1;
   config.queue_capacity = 16;
   config.cache_capacity = 0;
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   // Wedge the collector, then enqueue a doomed representative and attach a
   // joiner with *no* deadline of its own: it must still expire with the
@@ -334,26 +139,6 @@ TEST(InflightCoalescingTest, JoinerInheritsDeadlineExpiry) {
   EXPECT_EQ(session->calls(), 1);  // only the wedge ran
 }
 
-TEST(InflightCoalescingTest, DisabledRunsEveryQueuedDuplicate) {
-  auto session = std::make_shared<GateSession>();
-  ServerConfig config;
-  config.max_batch_size = 1;  // no in-batch coalescing possible either
-  config.queue_capacity = 16;
-  config.cache_capacity = 0;
-  config.inflight_coalescing = false;
-  InferenceServer server(session, config);
-
-  std::future<ServeResponse> a = server.Submit("same");
-  std::this_thread::sleep_for(milliseconds(20));
-  std::future<ServeResponse> b = server.Submit("same");
-  session->Open();
-  EXPECT_TRUE(a.get().status.ok());
-  EXPECT_TRUE(b.get().status.ok());
-  server.Shutdown();
-  EXPECT_EQ(session->calls(), 2);  // the A/B control: two passes
-  EXPECT_EQ(server.Stats().inflight_coalesced, 0u);
-}
-
 TEST(InflightCoalescingTest, RaceHammerOneForwardPassPerKey) {
   // The tsan target: many threads race the same payload against the
   // collector's batch completion. However the attach/push/complete
@@ -365,7 +150,7 @@ TEST(InflightCoalescingTest, RaceHammerOneForwardPassPerKey) {
   config.max_batch_size = 4;
   config.queue_capacity = 256;
   config.cache_capacity = 0;  // no LRU: dedup must come from coalescing
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
@@ -377,7 +162,7 @@ TEST(InflightCoalescingTest, RaceHammerOneForwardPassPerKey) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const int k = (t + i) % kKeys;
-        ServeResponse r = server.SubmitWait("key" + std::to_string(k));
+        ServeResponse r = server.Submit("key" + std::to_string(k)).get();
         std::lock_guard<std::mutex> lock(results_mu);
         results.emplace_back(k, std::move(r));
       }
@@ -416,7 +201,7 @@ TEST(InflightCoalescingTest, RacesShutdownWithoutLosingCallbacks) {
     config.max_batch_size = 4;
     config.queue_capacity = 64;
     config.cache_capacity = 4;
-    auto server = std::make_unique<InferenceServer>(session, config);
+    auto server = std::make_unique<ServeShard>(session, config);
 
     constexpr int kThreads = 6;
     constexpr int kPerThread = 10;
@@ -438,30 +223,7 @@ TEST(InflightCoalescingTest, RacesShutdownWithoutLosingCallbacks) {
   }
 }
 
-// ---- Normalized keying + near-dup cache through the serve stack -------------
-
-TEST(ServeDedupTest, NormalizedKeyingCollapsesSurfaceVariants) {
-  auto session = std::make_shared<SyntheticSession>(microseconds(100),
-                                                    microseconds(10));
-  ServerConfig config;
-  config.max_batch_size = 4;
-  config.cache_capacity = 64;
-  config.exactness = Exactness::kNormalized;
-  InferenceServer server(session, config);
-
-  ServeResponse first = server.SubmitWait(Fields({"Apple", "Cupertino"}));
-  ASSERT_TRUE(first.status.ok());
-  EXPECT_FALSE(first.cache_hit);
-  // Whitespace/case/order variant: same normalized key, served from cache.
-  ServeResponse second =
-      server.SubmitWait(Fields({" cupertino ", "APPLE"}));
-  ASSERT_TRUE(second.status.ok());
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.output, first.output);
-  server.Shutdown();
-  EXPECT_EQ(session->calls(), 1);
-  EXPECT_EQ(server.Stats().cache_hits, 1u);
-}
+// ---- Byte-exact keying ------------------------------------------------------
 
 TEST(ServeDedupTest, StrictServesNoVariantFromCache) {
   auto session = std::make_shared<SyntheticSession>(microseconds(100),
@@ -469,86 +231,15 @@ TEST(ServeDedupTest, StrictServesNoVariantFromCache) {
   ServerConfig config;
   config.max_batch_size = 4;
   config.cache_capacity = 64;
-  config.exactness = Exactness::kStrict;  // default, but explicit here
-  InferenceServer server(session, config);
+  ServeShard server(session, config);
 
-  ASSERT_TRUE(server.SubmitWait(Fields({"Apple", "Cupertino"})).status.ok());
+  ASSERT_TRUE(server.Submit(Fields({"Apple", "Cupertino"})).get().status.ok());
   ServeResponse variant =
-      server.SubmitWait(Fields({" cupertino ", "APPLE"}));
+      server.Submit(Fields({" cupertino ", "APPLE"})).get();
   ASSERT_TRUE(variant.status.ok());
   EXPECT_FALSE(variant.cache_hit);  // different bytes -> model ran again
   server.Shutdown();
   EXPECT_EQ(session->calls(), 2);
-  EXPECT_EQ(server.Stats().neardup_hits, 0u);
-}
-
-TEST(ServeDedupTest, NearDupServesWithinThresholdOnly) {
-  auto session = std::make_shared<SyntheticSession>(microseconds(100),
-                                                    microseconds(10));
-  ServerConfig config;
-  config.max_batch_size = 4;
-  config.cache_capacity = 64;
-  config.exactness = Exactness::kNearDup;
-  config.neardup_max_hamming = 12;
-  InferenceServer server(session, config);
-
-  ServeResponse first = server.SubmitWait(kLongDoc);
-  ASSERT_TRUE(first.status.ok());
-
-  // One-token variant: within the Hamming threshold, served from the
-  // near-dup index without another forward pass — response bytes are the
-  // *cached* answer for the base payload.
-  ServeResponse near = server.SubmitWait(kNearVariant);
-  ASSERT_TRUE(near.status.ok());
-  EXPECT_TRUE(near.cache_hit);
-  EXPECT_EQ(near.output, first.output);
-  EXPECT_EQ(session->calls(), 1);
-
-  // Unrelated payload: far past the threshold, must run the model.
-  ServeResponse far = server.SubmitWait(
-      "garden hose reel 30m wall mounted automatic rewind green");
-  ASSERT_TRUE(far.status.ok());
-  EXPECT_FALSE(far.cache_hit);
-  EXPECT_EQ(session->calls(), 2);
-
-  server.Shutdown();
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.neardup_hits, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-}
-
-TEST(ServeDedupTest, RoutedServerShardsVariantsTogether) {
-  // Non-strict routes hash the normalized payload, so surface variants of
-  // one tuple land on the same shard and its cache absorbs them even with
-  // a multi-shard pool.
-  ServerConfig config;
-  config.max_batch_size = 4;
-  config.cache_capacity = 64;
-  config.exactness = Exactness::kNormalized;
-  std::vector<std::shared_ptr<ModelSession>> replicas;
-  std::vector<std::shared_ptr<SyntheticSession>> sessions;
-  for (int i = 0; i < 4; ++i) {
-    sessions.push_back(std::make_shared<SyntheticSession>(microseconds(100),
-                                                          microseconds(10)));
-    replicas.push_back(sessions.back());
-  }
-  RoutedServer server({RouteSpec("clean", replicas, config)});
-
-  int variant_hits = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::string a = Fields({"Item " + std::to_string(i), "Price"});
-    const std::string b = Fields({"  price", "ITEM " + std::to_string(i)});
-    ASSERT_TRUE(server.SubmitWait("clean", a).status.ok());
-    ServeResponse r = server.SubmitWait("clean", b);
-    ASSERT_TRUE(r.status.ok());
-    if (r.cache_hit) ++variant_hits;
-  }
-  server.Shutdown();
-  EXPECT_EQ(variant_hits, 8);
-  int64_t total_calls = 0;
-  for (const auto& s : sessions) total_calls += s->calls();
-  EXPECT_EQ(total_calls, 8);  // one pass per unique tuple, none per variant
-  EXPECT_EQ(server.Stats().total.cache_hits, 8u);
 }
 
 }  // namespace

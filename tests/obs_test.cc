@@ -19,8 +19,8 @@
 #include "obs/trace.h"
 #include "prometheus_check.h"
 #include "serve/routed_server.h"
-#include "serve/server.h"
 #include "serve/sessions.h"
+#include "serve/shard.h"
 
 namespace rpt {
 namespace {
@@ -222,9 +222,9 @@ TEST(TracerTest, ChromeTraceJsonSurfacesFollowsFromLinks) {
   EXPECT_EQ(json.find("\"ph\":\"s\"", first_s + 1), std::string::npos);
 }
 
-/// Duplicates coalesced inside one batch record serve.execute spans that
-/// follow-from the representative's execution span (same trace id + span id
-/// as an execute span of another request in the same batch).
+/// Duplicates that attach to an in-flight execution record serve.execute
+/// spans that follow-from the representative's execution span (same trace
+/// id + span id as the one real execute span).
 TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
   if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "built with RPT_OBS_OFF";
   ScopedTracerEnabled enabled;
@@ -234,7 +234,7 @@ TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
     config.max_batch_size = 8;
     config.max_batch_delay = std::chrono::milliseconds(50);
     config.min_batch_delay = config.max_batch_delay;  // fixed window
-    config.cache_capacity = 0;  // no submit-time hits: force in-batch dedup
+    config.cache_capacity = 0;  // no submit-time hits: force coalescing
     config.name = "obs_link_test";
     RoutedServer server(
         {{"link",
@@ -251,8 +251,8 @@ TEST(ServeTraceTest, CoalescedDuplicatesCarryFollowsFromLinks) {
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       if (r.cache_hit) ++coalesced_responses;
     }
-    ASSERT_GT(coalesced_responses, 0) << "no duplicate was coalesced; the "
-                                         "batch window did not capture them";
+    ASSERT_GT(coalesced_responses, 0) << "no duplicate was coalesced; none "
+                                         "arrived while its twin was in flight";
     server.Shutdown();
   }
 
@@ -344,8 +344,8 @@ TEST(ServeTraceTest, RoutedRequestProducesNestedSpans) {
   EXPECT_EQ(model_traces, kRequests);
 }
 
-/// MetricsText stays parseable while client threads hammer Submit, and the
-/// final exposition agrees with the request count.
+/// The metrics exposition stays parseable while client threads hammer
+/// Submit, and the final exposition agrees with the request count.
 TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "built with RPT_OBS_OFF";
   constexpr int kThreads = 4;
@@ -357,14 +357,14 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   config.queue_capacity = 1024;
   config.cache_capacity = 0;
   config.name = "obs_stability_test";  // series unique to this test
-  InferenceServer server(
+  ServeShard server(
       std::make_shared<SyntheticSession>(microseconds(100), microseconds(10)),
       config);
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load()) {
-      ValidateExposition(server.MetricsText());
+      ValidateExposition(GlobalMetrics().TextFormat());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -372,7 +372,7 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        server.SubmitWait("q" + std::to_string(t) + "_" + std::to_string(i));
+        server.Submit("q" + std::to_string(t) + "_" + std::to_string(i)).get();
       }
     });
   }
@@ -381,7 +381,7 @@ TEST(ServeTraceTest, MetricsTextStableUnderConcurrentSubmits) {
   reader.join();
   server.Shutdown();
 
-  const std::string text = server.MetricsText();
+  const std::string text = GlobalMetrics().TextFormat();
   ValidateExposition(text);
   const std::string label = "{server=\"obs_stability_test\"}";
   EXPECT_DOUBLE_EQ(SampleValue(text, "rpt_serve_submitted_total", label),

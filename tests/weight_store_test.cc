@@ -143,7 +143,7 @@ TEST(WeightStoreTest, DistinctAllocationSumIsOneCopyNotN) {
 }
 
 TEST(WeightStoreTest, BoundReplicaIsBitwiseEqualToSourceUnderScalar) {
-  // Exactness tier 1: a replica bound to the frozen store, forced onto the
+  // Tier-1 exactness: a replica bound to the frozen store, forced onto the
   // cpu-scalar backend, reproduces the source model's outputs bit for bit —
   // even though the replica was initialized from a different seed.
   Rng rng_src(10);
@@ -310,7 +310,7 @@ TEST(WeightStoreTest, MapRejectsTruncatedAndCorruptFiles) {
 }
 
 TEST(WeightStoreTest, Int8BoundLinearStaysWithinAnalyticBound) {
-  // Exactness tier 3: the int8 path's error is bounded per output channel
+  // Tier-3 exactness: the int8 path's error is bounded per output channel
   // by ErrorBound(j, l1(activation row)) — the rounding half-step.
   Rng rng(42);
   Linear source(16, 12, &rng);
